@@ -344,9 +344,9 @@ def cmd_bench(args) -> int:
                 if matching is None:
                     matching = gale_shapley(truth)
                 started = time.perf_counter()
-                report = analyze_blockers(instance, truth, matching)
                 plan = plan_for_matching(instance, truth, matching)
                 elapsed_ms = round((time.perf_counter() - started) * 1000)
+                report = plan.report
                 row.update({
                     "pbp_count": len(report.blockers),
                     "pbp1_count": len(report.degree1),

@@ -265,10 +265,6 @@ class Matching:
         return f"Matching({inside})"
 
 
-# An interview set is a plain frozenset of (man, woman) pairs.
-InterviewSet = frozenset
-
-
 def interview_set(pairs: Iterable[tuple[Agent, Agent]]) -> frozenset[Pair]:
     return frozenset(couple(a, b) for a, b in pairs)
 

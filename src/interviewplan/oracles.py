@@ -21,27 +21,16 @@ from .errors import (
 )
 from .interviews import _apply_unchecked
 from .model import Instance, Matching, Pair, StrictProfile
-from .stability import check_matching, iter_matchings, stable_matchings, weakly_stable_under
+from .stability import (
+    _has_very_weak_blocker,
+    check_matching,
+    iter_matchings,
+    stable_matchings,
+    weakly_stable_under,
+)
 
 PURE_PAIR_CAP = 16
 PRUNED_PAIR_CAP = 24
-
-
-def _super_stable_on(refined: Instance, matching: Matching,
-                     pairs: tuple[Pair, ...]) -> bool:
-    relations = refined.relations
-    partner = matching.partner
-    for m, w in pairs:
-        pm = partner(m)
-        if pm == w:
-            continue
-        if pm is not None and (pm, w) in relations[m].edges:
-            continue
-        pw = partner(w)
-        if pw is not None and (pw, m) in relations[w].edges:
-            continue
-        return False
-    return True
 
 
 def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
@@ -57,17 +46,17 @@ def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
     """
     if mode not in ("pure", "pruned"):
         raise ValueError(f"unknown mode {mode!r}")
+    pairs = instance.acceptable_pairs()
+    cap = size_cap if size_cap is not None else (
+        PURE_PAIR_CAP if mode == "pure" else PRUNED_PAIR_CAP)
+    if len(pairs) > cap:
+        raise SizeLimitExceeded(f"{len(pairs)} acceptable pairs exceed the cap of {cap}")
     if not truth.refines(instance):
         raise TruthInconsistent("strict profile does not refine the instance")
     check_matching(instance, matching)
     if not weakly_stable_under(truth, matching):
         raise MatchingNotWeaklyStable(
             "target matching has a blocking pair under the true preferences")
-    pairs = instance.acceptable_pairs()
-    cap = size_cap if size_cap is not None else (
-        PURE_PAIR_CAP if mode == "pure" else PRUNED_PAIR_CAP)
-    if len(pairs) > cap:
-        raise SizeLimitExceeded(f"{len(pairs)} acceptable pairs exceed the cap of {cap}")
 
     if mode == "pure":
         base: frozenset[Pair] = frozenset()
@@ -80,7 +69,7 @@ def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
         for extra in itertools.combinations(universe, k):
             chosen = base | frozenset(extra)
             refined = _apply_unchecked(instance, truth, chosen)
-            if _super_stable_on(refined, matching, pairs):
+            if not _has_very_weak_blocker(refined, matching, pairs):
                 return len(chosen), chosen
     raise InternalAssumptionViolated("interviewing every pair must succeed")
 
@@ -108,7 +97,7 @@ def oracle_best_plan(instance: Instance, truth: StrictProfile,
         for chosen in itertools.combinations(sorted_pairs, k):
             chosen_set = frozenset(chosen)
             refined = _apply_unchecked(instance, truth, chosen_set)
-            if any(_super_stable_on(refined, mu, pairs) for mu in candidates):
+            if any(not _has_very_weak_blocker(refined, mu, pairs) for mu in candidates):
                 witness = find_super_stable(refined, matching_cap)
                 if witness is None:
                     raise InternalAssumptionViolated(
@@ -128,7 +117,7 @@ def find_super_stable(instance: Instance, size_cap: int = 8) -> Optional[Matchin
     for candidate in iter_matchings(instance):
         if best is not None and candidate >= best:
             continue
-        if _super_stable_on(instance, Matching(candidate), pairs):
+        if not _has_very_weak_blocker(instance, Matching(candidate), pairs):
             best = candidate
     return Matching(best) if best is not None else None
 

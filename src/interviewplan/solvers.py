@@ -47,15 +47,23 @@ class InterviewPlan:
     ``blocker_count + mandated_count + cover_size``.  ``refined`` is the
     knowledge state after carrying the schedule out; it makes the target
     matching super-stable (verified before the plan is returned).
+    ``report`` is the blocker classification the schedule was built from.
     """
 
     cost: int
     interviews: frozenset[Pair]
     refined: Instance
-    blocker_count: int
-    mandated_count: int
+    report: BlockerReport
     cover_size: int
     structure: PlanStructure
+
+    @property
+    def blocker_count(self) -> int:
+        return len(self.report.blockers)
+
+    @property
+    def mandated_count(self) -> int:
+        return len(self.report.mandated_men)
 
     @property
     def breakdown(self) -> tuple[int, int, int]:
@@ -72,30 +80,32 @@ def naive_cost(instance: Instance) -> int:
 # exact minimum vertex cover
 
 
-def _components(vertices: Sequence, edges: Sequence[tuple]) -> list[tuple[list, list]]:
-    adj: dict = {v: set() for v in vertices}
+def _components(edges: Sequence[tuple]) -> list[tuple[list, list]]:
+    """Connected components of the graph the edges span, as sorted
+    (vertices, edges) lists; isolated vertices never need covering."""
+    adj: dict = {}
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen: set = set()
-    out = []
-    for start in vertices:
-        if start in seen:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    comp_of: dict = {}
+    comps: list = []
+    for start in adj:
+        if start in comp_of:
             continue
-        comp = []
+        comp_of[start] = len(comps)
+        comp = [start]
         stack = [start]
-        seen.add(start)
         while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
+            for u in adj[stack.pop()]:
+                if u not in comp_of:
+                    comp_of[u] = len(comps)
+                    comp.append(u)
                     stack.append(u)
-        comp_set = set(comp)
-        comp_edges = [e for e in edges if e[0] in comp_set]
-        out.append((sorted(comp), sorted(comp_edges)))
-    return out
+        comps.append(comp)
+    comp_edges: list = [[] for _ in comps]
+    for e in edges:
+        comp_edges[comp_of[e[0]]].append(e)
+    return [(sorted(c), sorted(es)) for c, es in zip(comps, comp_edges)]
 
 
 def _matching_lower_bound(edges: Iterable[tuple]) -> int:
@@ -162,76 +172,67 @@ def _bb_cover_size(vertices: Sequence, edges: Sequence[tuple]) -> int:
     return best
 
 
-def _lex_cover(vertices: Sequence, edges: Sequence[tuple], k: int) -> list:
-    """Lexicographically least vertex cover of size at most ``k``; ``k``
-    must be feasible."""
-    order = sorted(vertices)
-    pos = {v: i for i, v in enumerate(order)}
-    incident: dict = {v: [] for v in order}
-    for e in edges:
-        incident[e[0]].append(e)
-        incident[e[1]].append(e)
-
-    def rec(i: int, budget: int, uncovered: set, chosen: list):
-        if not uncovered:
-            return list(chosen)
-        if i == len(order) or budget == 0:
-            return None
-        if _matching_lower_bound(sorted(uncovered)) > budget:
-            return None
-        v = order[i]
-        mine = [e for e in incident[v] if e in uncovered]
-        if mine and budget > 0:
-            chosen.append(v)
-            res = rec(i + 1, budget - 1, uncovered - set(mine), chosen)
-            chosen.pop()
-            if res is not None:
-                return res
-        # excluding v is legal only if no uncovered edge has both endpoints decided
-        forced = any(pos[u if u != v else w] < i for u, w in mine)
-        if not forced:
-            return rec(i + 1, budget, uncovered, chosen)
-        return None
-
-    result = rec(0, k, set(edges), [])
-    if result is None:
-        raise InternalAssumptionViolated("no cover of the promised size")
-    return result
-
-
 def _is_clique(vertices: Sequence, edges: Sequence[tuple]) -> bool:
     n = len(vertices)
     return n >= 2 and len(edges) == n * (n - 1) // 2
 
 
-def min_vertex_cover(graph, mode: str = "auto") -> tuple:
+def _cover_size(edges: Sequence[tuple]) -> int:
+    """Minimum vertex cover size, summed over the connected components.
+
+    Components in which every vertex has degree at most two are paths or
+    cycles and need ``ceil(edges / 2)``; clique components need all
+    vertices but one; anything else goes to branch and bound.
+    """
+    total = 0
+    for comp_vertices, comp_edges in _components(edges):
+        degs = {v: 0 for v in comp_vertices}
+        for u, v in comp_edges:
+            degs[u] += 1
+            degs[v] += 1
+        if all(d <= 2 for d in degs.values()):
+            total += math.ceil(len(comp_edges) / 2)
+        elif _is_clique(comp_vertices, comp_edges):
+            total += len(comp_vertices) - 1
+        else:
+            total += _bb_cover_size(comp_vertices, comp_edges)
+    return total
+
+
+def min_vertex_cover(graph) -> tuple:
     """An exact minimum vertex cover, lexicographically least among the
     minimum covers.
 
-    ``auto`` recognizes per-component structure first: components in which
-    every vertex has degree at most two are paths or cycles with cover size
-    ``ceil(edges / 2)``, and clique components need all vertices but one.
-    Anything else, or ``general`` mode, goes to branch and bound.
+    One greedy walk per connected component, guided by ``_cover_size``.
+    With ``k`` the component's minimum cover size, the vertices are visited
+    in sorted order.  A vertex with an uncovered edge joins the cover when
+    the vertices chosen so far, the vertex itself and a minimum cover of
+    the edges still left uncovered total ``k``; otherwise no minimum cover
+    extending the choices so far contains it, so all its uncovered
+    neighbours join instead.  Vertices with no uncovered edge are skipped.
     """
-    vertices = sorted(graph.vertices)
     edges = sorted(tuple(sorted(e)) for e in graph.edges)
     cover: list = []
-    for comp_vertices, comp_edges in _components(vertices, edges):
-        if not comp_edges:
-            continue
-        k = None
-        if mode == "auto":
-            degs = {v: 0 for v in comp_vertices}
-            for u, v in comp_edges:
-                degs[u] += 1
-                degs[v] += 1
-            if all(d <= 2 for d in degs.values()):
-                k = math.ceil(len(comp_edges) / 2)
-            elif _is_clique(comp_vertices, comp_edges):
-                k = len(comp_vertices) - 1
-        if k is None:
-            k = _bb_cover_size(comp_vertices, comp_edges)
-        cover.extend(_lex_cover(comp_vertices, comp_edges, k))
+    for comp_vertices, comp_edges in _components(edges):
+        k = _cover_size(comp_edges)
+        chosen: list = []
+        live = comp_edges
+        for v in comp_vertices:
+            touching = [e for e in live if v in e]
+            if not touching:
+                continue
+            rest = [e for e in live if v not in e]
+            if len(chosen) + 1 + _cover_size(rest) == k:
+                chosen.append(v)
+                live = rest
+            else:
+                neighbours = {u for e in touching for u in e} - {v}
+                chosen.extend(neighbours)
+                live = [e for e in live if not neighbours.intersection(e)]
+        if len(chosen) != k:
+            raise InternalAssumptionViolated(
+                f"greedy cover has {len(chosen)} vertices, the minimum is {k}")
+        cover.extend(chosen)
     return tuple(sorted(cover))
 
 
@@ -299,8 +300,7 @@ def plan_for_matching(instance: Instance, truth: StrictProfile,
         cost, interviews = oracle_plan_for_matching(instance, truth, matching,
                                                     mode="pure", size_cap=fallback_cap)
         refined = apply_interviews(instance, truth, interviews)
-        return InterviewPlan(cost, interviews, refined, len(report.blockers),
-                             len(report.mandated_men),
+        return InterviewPlan(cost, interviews, refined, report,
                              cost - len(report.blockers) - len(report.mandated_men),
                              PlanStructure.GENERAL)
 
@@ -308,7 +308,7 @@ def plan_for_matching(instance: Instance, truth: StrictProfile,
 def _assemble_plan(instance: Instance, truth: StrictProfile,
                    matching: Matching, report: BlockerReport) -> InterviewPlan:
     graph = cover_graph(report, matching)
-    cover = min_vertex_cover(graph, mode="auto")
+    cover = min_vertex_cover(graph)
     blocker_pairs = set(report.pairs)
     mandated_pairs = set(report.mandated_pairs(matching))
     cover_pairs = set(cover)
@@ -323,8 +323,7 @@ def _assemble_plan(instance: Instance, truth: StrictProfile,
         cost=len(interviews),
         interviews=interviews,
         refined=refined,
-        blocker_count=len(blocker_pairs),
-        mandated_count=len(mandated_pairs),
+        report=report,
         cover_size=len(cover_pairs),
         structure=detect_structure(instance),
     )

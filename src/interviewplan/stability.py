@@ -17,7 +17,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InvalidMatching, SizeLimitExceeded
 from .model import (
@@ -62,15 +62,7 @@ class BlockingPair:
     woman_attitude: Attitude
 
     def __post_init__(self):
-        ok = {
-            Blocking.STRONG: self.man_attitude in _KEEN and self.woman_attitude in _KEEN,
-            Blocking.WEAK: (self.man_attitude != Attitude.PREFERS_PARTNER
-                            and self.woman_attitude != Attitude.PREFERS_PARTNER
-                            and (self.man_attitude in _KEEN or self.woman_attitude in _KEEN)),
-            Blocking.VERY_WEAK: (self.man_attitude != Attitude.PREFERS_PARTNER
-                                 and self.woman_attitude != Attitude.PREFERS_PARTNER),
-        }[self.level]
-        if not ok:
+        if not _qualifies(self.level, self.man_attitude, self.woman_attitude):
             raise ValueError(f"attitudes inconsistent with level {self.level}")
 
 
@@ -135,11 +127,13 @@ def is_stable(instance: Instance, matching: Matching, level: Stability) -> bool:
     return not blocking_pairs(instance, matching, against)
 
 
-def _has_very_weak_blocker(instance: Instance, matching: Matching) -> bool:
-    # Hot path used inside subset searches: no matching validation.
+def _has_very_weak_blocker(instance: Instance, matching: Matching,
+                           pairs: Iterable[Pair]) -> bool:
+    # Hot path used inside subset searches: no matching validation, and the
+    # caller passes the instance's acceptable pairs, computed once.
     partner = matching.partner
     relations = instance.relations
-    for m, w in instance.acceptable_pairs():
+    for m, w in pairs:
         pm = partner(m)
         if pm == w:
             continue
@@ -267,7 +261,8 @@ def extension_agreement(instance: Instance, matching: Matching,
             raise SizeLimitExceeded("extension profile space exceeds the cap")
         per_agent.append([{c: i for i, c in enumerate(ext)} for ext in exts])
 
-    super_verdict = not _has_very_weak_blocker(instance, matching)
+    super_verdict = not _has_very_weak_blocker(instance, matching,
+                                               instance.acceptable_pairs())
     pairs = [(m, w) for m, w in instance.acceptable_pairs()
              if matching.partner(m) != w]
     index = {a: i for i, a in enumerate(agents)}

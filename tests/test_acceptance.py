@@ -138,7 +138,7 @@ def test_07_small_ties_keep_cover_graph_thin():
         report = analyze_blockers(inst, truth, mu)
         graph = cover_graph(report, mu)
         assert all(graph.degree(v) <= 2 for v in graph.vertices), seed
-        assert (len(min_vertex_cover(graph, mode="auto"))
+        assert (len(min_vertex_cover(graph))
                 == len(brute_force_cover(graph))), seed
         checked += 1
     assert checked >= 200
@@ -160,7 +160,7 @@ def test_08_shared_classes_make_cover_graph_cliques(mt3):
         for v in graph.vertices:
             for u in adj[v]:
                 assert adj[u] | {u} == adj[v] | {v}, seed
-        assert (len(min_vertex_cover(graph, mode="auto"))
+        assert (len(min_vertex_cover(graph))
                 == len(brute_force_cover(graph))), seed
         checked += 1
     assert checked >= 200

@@ -1,6 +1,8 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interviewplan.errors import SizeLimitExceeded
 from interviewplan.generators import SimpleGraph, generate, random_bounded_graph
@@ -8,6 +10,9 @@ from interviewplan.model import Matching, man, woman
 from interviewplan.oracles import brute_force_cover, oracle_plan_for_matching
 from interviewplan.solvers import (
     PlanStructure,
+    _bb_cover_size,
+    _components,
+    _cover_size,
     best_plan,
     detect_structure,
     min_vertex_cover,
@@ -19,6 +24,10 @@ from interviewplan.stability import Stability, gale_shapley, is_stable
 
 def graph(n, edges):
     return SimpleGraph(n, frozenset(tuple(sorted(e)) for e in edges))
+
+
+def complete_graph(n):
+    return graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
 class TestMinVertexCover:
@@ -43,26 +52,47 @@ class TestMinVertexCover:
 
     def test_clique_needs_all_but_one(self):
         for n in range(2, 7):
-            kn = graph(n, [(i, j) for i in range(1, n + 1)
-                           for j in range(i + 1, n + 1)])
-            assert len(min_vertex_cover(kn)) == n - 1
+            assert len(min_vertex_cover(complete_graph(n))) == n - 1
 
-    def test_structured_equals_general_on_thousand_graphs(self):
-        for seed in range(1000):
-            g = random_bounded_graph(n=4 + seed % 13, max_degree=3, seed=seed)
-            auto = min_vertex_cover(g, mode="auto")
-            general = min_vertex_cover(g, mode="general")
-            assert len(auto) == len(general)
-            assert auto == general
+    def test_closed_forms_equal_branch_and_bound_per_component(self):
+        graphs = [random_bounded_graph(n=4 + seed % 13, max_degree=3, seed=seed)
+                  for seed in range(1000)]
+        graphs += [graph(n + 1, [(i, i + 1) for i in range(1, n + 1)]) for n in range(1, 9)]
+        graphs += [graph(n, [(i, i % n + 1) for i in range(1, n + 1)]) for n in range(3, 10)]
+        graphs += [complete_graph(n) for n in range(2, 8)]
+        for g in graphs:
+            for comp_vertices, comp_edges in _components(sorted(g.edges)):
+                assert (_cover_size(comp_edges)
+                        == _bb_cover_size(comp_vertices, comp_edges)), g
 
-    def test_both_modes_equal_brute_force(self):
+    def test_equals_brute_force_on_bounded_graphs(self):
         for seed in range(300):
             g = random_bounded_graph(n=4 + seed % 7, max_degree=3, seed=seed)
-            auto = min_vertex_cover(g, mode="auto")
-            general = min_vertex_cover(g, mode="general")
-            brute = brute_force_cover(g)
-            assert len(auto) == len(brute)
-            assert auto == general == tuple(brute)
+            assert min_vertex_cover(g) == tuple(brute_force_cover(g)), seed
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                    .filter(lambda e: e[0] < e[1])))))
+    def test_equals_brute_force_on_any_small_graph(self, spec):
+        n, edges = spec
+        g = graph(n, edges)
+        assert min_vertex_cover(g) == tuple(brute_force_cover(g))
+
+    def test_large_bounded_degree_cover_market(self):
+        # the cover graph has 114 vertices and 140 edges, far beyond brute
+        # force; branch and bound alone gives the size to match
+        from interviewplan.blockers import analyze_blockers, cover_graph
+        from interviewplan.generators import cover_market_smti
+
+        inst, truth, matching, _ = cover_market_smti(random_bounded_graph(120, 3, seed=3))
+        g = cover_graph(analyze_blockers(inst, truth, matching), matching)
+        cover = min_vertex_cover(g)
+        assert cover == tuple(sorted(set(cover)))
+        assert all(u in cover or v in cover for u, v in g.edges)
+        assert len(cover) == _bb_cover_size(sorted(g.vertices), sorted(g.edges))
 
     def test_star_plus_clique_mixed_components(self):
         g = graph(8, [(1, 2), (1, 3), (1, 4),           # star
