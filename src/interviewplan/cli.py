@@ -30,6 +30,7 @@ from .errors import (
 )
 from .formats import (
     format_certificate,
+    format_classes,
     format_instance,
     format_matching,
     format_truth,
@@ -45,7 +46,7 @@ from .generators import (
     generate,
 )
 from .interviews import interview_compatibility, interview_cost
-from .model import agent_tie_structure
+from .model import detect_tie_structure
 from .oracles import (
     find_super_stable,
     oracle_best_plan,
@@ -140,15 +141,11 @@ def cmd_check(args) -> int:
         return 1
     print(f"instance: ok (kind: {instance.kind}, "
           f"{instance.n_men} men, {instance.n_women} women)")
-    for a in instance.agents():
-        ties = agent_tie_structure(instance, a)
+    for a, ties in detect_tie_structure(instance).items():
         if ties is None:
             print(f"  {a}: general partial order")
         else:
-            groups = " ".join(
-                "(" + " ".join(str(c) for c in sorted(cls)) + ")" if len(cls) > 1
-                else str(next(iter(cls)))
-                for cls in ties.classes)
+            groups = format_classes(ties)
             print(f"  {a}: {groups}" if groups else f"  {a}: (empty list)")
 
     truth = parse_truth(_read(args.truth)) if args.truth else None

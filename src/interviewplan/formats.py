@@ -20,9 +20,11 @@ from .model import (
     Pair,
     Relation,
     StrictProfile,
-    agent_tie_structure,
+    TieStructure,
     couple,
+    detect_tie_structure,
     man,
+    tie_relation,
     validate_instance,
     woman,
 )
@@ -89,14 +91,7 @@ def parse_instance(text: str, base: bool = True,
     rels: dict[Agent, Relation] = {}
     if kind == "smti":
         for a, cls in classes.items():
-            acc = [c for group in cls for c in group]
-            edges = set()
-            for t, group in enumerate(cls):
-                for hi in group:
-                    for later in cls[t + 1:]:
-                        for lo in later:
-                            edges.add((hi, lo))
-            rels[a] = Relation(a, frozenset(acc), frozenset(edges))
+            rels[a] = tie_relation(a, cls)
     else:
         for a, acc in accepts.items():
             rels[a] = Relation(a, frozenset(acc), frozenset(prefers.get(a, ())))
@@ -207,13 +202,19 @@ def _normalize_mutual(instance: Instance, warnings: list[str] | None) -> Instanc
     return Instance(instance.n_men, instance.n_women, rels, base=instance.base)
 
 
+def format_classes(ties: TieStructure) -> str:
+    """Classes best first, each tie of two or more in parentheses."""
+    members = [" ".join(str(c) for c in sorted(cls)) for cls in ties.classes]
+    return " ".join(m if len(cls) == 1 else f"({m})" for m, cls in zip(members, ties.classes))
+
+
 def format_instance(instance: Instance, style: str | None = None) -> str:
     """Serialize an instance; ``style`` forces ``smti`` or ``smpi`` bodies.
 
     By default the tie format is used whenever every agent's knowledge
     state decomposes into ordered classes, else the explicit-edge format.
     """
-    ties = {a: agent_tie_structure(instance, a) for a in instance.agents()}
+    ties = detect_tie_structure(instance)
     if style is None:
         style = "smti" if all(t is not None for t in ties.values()) else "smpi"
     if style == "smti" and any(t is None for t in ties.values()):
@@ -221,11 +222,7 @@ def format_instance(instance: Instance, style: str | None = None) -> str:
     lines = [f"kind: {style}", f"men: {instance.n_men}", f"women: {instance.n_women}"]
     if style == "smti":
         for a in instance.agents():
-            groups = []
-            for cls in ties[a].classes:
-                members = " ".join(str(c) for c in sorted(cls))
-                groups.append(members if len(cls) == 1 else f"({members})")
-            lines.append(f"{a}: {' '.join(groups)}".rstrip())
+            lines.append(f"{a}: {format_classes(ties[a])}".rstrip())
     else:
         for a in instance.agents():
             rel = instance.relations[a]

@@ -24,8 +24,9 @@ from .model import (
     Matching,
     Relation,
     StrictProfile,
-    agent_tie_structure,
+    detect_tie_structure,
     man,
+    tie_relation,
     woman,
 )
 
@@ -130,10 +131,11 @@ def _identity_top_truth(instance: Instance) -> StrictProfile:
     """Same-index partner first within its class, then index order within
     each class, classes kept in instance order."""
     ranking: dict[Agent, tuple[Agent, ...]] = {}
+    ties = detect_tie_structure(instance)
     for a in instance.agents():
         partner = woman(a.index) if a.side == MAN else man(a.index)
         order: list[Agent] = []
-        for cls in agent_tie_structure(instance, a).classes:
+        for cls in ties[a].classes:
             members = sorted(cls)
             if partner in cls:
                 members = [partner] + [c for c in members if c != partner]
@@ -191,9 +193,7 @@ def cover_market_smt(graph: SimpleGraph) -> tuple[Instance, StrictProfile, Match
     for i in range(1, n + 1):
         rels[man(i)] = Relation(man(i), all_women, frozenset())
         top = frozenset({man(i)} | {man(j) for j in neighbors[i]})
-        rest = all_men - top
-        edges = frozenset((hi, lo) for hi in top for lo in rest)
-        rels[woman(i)] = Relation(woman(i), all_men, edges)
+        rels[woman(i)] = tie_relation(woman(i), [top, all_men - top])
     instance = Instance(n, n, rels)
     truth = _identity_top_truth(instance)
     matching = Matching([(man(i), woman(i)) for i in range(1, n + 1)])
@@ -264,17 +264,9 @@ def generate(family: str, *, n: int, seed: int, tiers: Iterable[int] | None = No
     rels = {}
     ranking = {}
     for a in men_list + women_list:
-        cls = classes[a]
-        acc = frozenset(c for group in cls for c in group)
-        edges = set()
-        for t, group in enumerate(cls):
-            for hi in group:
-                for later in cls[t + 1:]:
-                    for lo in later:
-                        edges.add((hi, lo))
-        rels[a] = Relation(a, acc, frozenset(edges))
+        rels[a] = tie_relation(a, classes[a])
         order = []
-        for group in cls:
+        for group in classes[a]:
             members = list(group)
             rng.shuffle(members)
             order.extend(members)

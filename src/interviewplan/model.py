@@ -7,6 +7,11 @@ refined knowledge state produced by interviews keeps the literal set of
 learned comparisons and is NOT transitively closed: closing it could
 manufacture comparisons between candidates an agent never met.  Base
 instances, by contrast, are required to be genuine partial orders.
+
+Ordered indifference classes (ties) have one home here: :func:`tie_relation`
+builds a relation from classes, :func:`agent_tie_structure` recovers the
+classes from a relation in O(edges) by grouping candidates by in-degree, and
+:func:`detect_tie_structure` decomposes an instance once, cached on it.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -123,9 +129,9 @@ class Instance:
         if self._pairs is None:
             pairs = []
             for m in self.men():
-                rm = self.relations[m]
-                for w in sorted(rm.acceptable):
-                    if m in self.relations.get(w, relation(w, ())).acceptable:
+                for w in sorted(self.relations[m].acceptable):
+                    rw = self.relations.get(w)
+                    if rw is not None and m in rw.acceptable:
                         pairs.append((m, w))
             self._pairs = tuple(pairs)
         return self._pairs
@@ -161,13 +167,22 @@ class TieStructure:
         return max((len(c) for c in self.classes), default=0)
 
     def as_edges(self) -> frozenset[Pair]:
-        edges = set()
-        for t, cls in enumerate(self.classes):
-            later = [c for later_cls in self.classes[t + 1:] for c in later_cls]
-            for hi in cls:
-                for lo in later:
-                    edges.add((hi, lo))
+        """Every (better, worse) pair across classes; none within a class."""
+        edges: list[Pair] = []
+        below: list[Agent] = []
+        for cls in reversed(self.classes):
+            edges.extend(itertools.product(cls, below))
+            below.extend(cls)
         return frozenset(edges)
+
+
+def tie_relation(owner: Agent, classes: Iterable[Iterable[Agent]]) -> Relation:
+    """The relation of an agent who ranks the given indifference classes
+    best first: every candidate is acceptable, each class is tied, and
+    every candidate beats everyone in later classes."""
+    ties = TieStructure(tuple(frozenset(cls) for cls in classes))
+    acceptable = frozenset(c for cls in ties.classes for c in cls)
+    return Relation(owner, acceptable, ties.as_edges())
 
 
 class StrictProfile:
@@ -209,10 +224,7 @@ class StrictProfile:
             n_men = max((a.index for a in self.ranking if a.side == MAN), default=0)
         if n_women is None:
             n_women = max((a.index for a in self.ranking if a.side == WOMAN), default=0)
-        rels = {}
-        for a, seq in self.ranking.items():
-            edges = {(seq[i], seq[j]) for i in range(len(seq)) for j in range(i + 1, len(seq))}
-            rels[a] = Relation(a, frozenset(seq), frozenset(edges))
+        rels = {a: tie_relation(a, ([c] for c in seq)) for a, seq in self.ranking.items()}
         return Instance(n_men, n_women, rels)
 
     def __eq__(self, other):
@@ -392,38 +404,33 @@ def is_refinement(base: Instance, candidate: Instance) -> bool:
 # tie structure detection
 
 
-def agent_tie_structure(instance: Instance, a: Agent) -> Optional[TieStructure]:
-    """The agent's indifference-class decomposition, or None if the agent's
-    knowledge state is not shaped as ordered ties."""
-    rel = instance.relations[a]
-    items = sorted(rel.acceptable)
-    if not items:
-        return TieStructure(())
-    above = {c: frozenset(d for d in items if (d, c) in rel.edges) for c in items}
-    below = {c: frozenset(d for d in items if (c, d) in rel.edges) for c in items}
-    groups: dict[tuple[frozenset, frozenset], list[Agent]] = {}
-    for c in items:
-        groups.setdefault((above[c], below[c]), []).append(c)
-    ordered = sorted(groups.items(), key=lambda kv: len(kv[0][0]))
-    classes = []
-    seen: set[Agent] = set()
-    for (ab, _), members in ordered:
-        if ab != frozenset(seen):
-            return None
-        classes.append(frozenset(members))
-        seen.update(members)
-    rest = set(items)
-    for cls in classes:
-        rest -= cls
-        for c in cls:
-            if below[c] != frozenset(rest):
-                return None
-    return TieStructure(tuple(classes))
+def agent_tie_structure(rel: Relation) -> Optional[TieStructure]:
+    """The relation's indifference classes, best first, or None if it is not
+    shaped as ordered ties.
+
+    Only edges between acceptable candidates count.  A candidate's in-degree
+    is the size of the better classes, so grouping by it gives the only
+    possible classes; they stand when their ``as_edges()`` equals those edges.
+    """
+    indegree = dict.fromkeys(rel.acceptable, 0)
+    inside = frozenset((hi, lo) for hi, lo in rel.edges
+                       if hi in indegree and lo in indegree)
+    for _, lo in inside:
+        indegree[lo] += 1
+    groups: dict[int, list[Agent]] = {}
+    for c, d in indegree.items():
+        groups.setdefault(d, []).append(c)
+    ties = TieStructure(tuple(frozenset(groups[d]) for d in sorted(groups)))
+    return ties if ties.as_edges() == inside else None
 
 
-def detect_tie_structure(instance: Instance) -> dict[Agent, Optional[TieStructure]]:
-    """Per-agent tie decomposition; None marks a general partial order."""
-    return {a: agent_tie_structure(instance, a) for a in instance.agents()}
+def detect_tie_structure(instance: Instance) -> Mapping[Agent, Optional[TieStructure]]:
+    """Per-agent tie decomposition, None marking a general partial order;
+    computed on first use and cached on the instance as a read-only map."""
+    if instance._ties is None:
+        instance._ties = MappingProxyType(
+            {a: agent_tie_structure(instance.relations[a]) for a in instance.agents()})
+    return instance._ties
 
 
 def _detect_kind(instance: Instance) -> str:

@@ -85,11 +85,11 @@ def oracle_best_plan(instance: Instance, truth: StrictProfile,
     each candidate subset is screened against the truth's stable matchings;
     the winning subset is confirmed by exhaustive search over matchings.
     """
-    if not truth.refines(instance):
-        raise TruthInconsistent("strict profile does not refine the instance")
     pairs = instance.acceptable_pairs()
     if len(pairs) > size_cap:
         raise SizeLimitExceeded(f"{len(pairs)} acceptable pairs exceed the cap of {size_cap}")
+    if not truth.refines(instance):
+        raise TruthInconsistent("strict profile does not refine the instance")
     candidates = stable_matchings(truth, matching_cap)
 
     sorted_pairs = sorted(pairs)

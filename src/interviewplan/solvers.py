@@ -27,7 +27,7 @@ from .model import (
     Matching,
     Pair,
     StrictProfile,
-    agent_tie_structure,
+    detect_tie_structure,
 )
 from .stability import Stability, is_stable, stable_matchings
 
@@ -259,7 +259,7 @@ def detect_structure(instance: Instance) -> PlanStructure:
     """
     if _side_strict(instance, MAN) or _side_strict(instance, WOMAN):
         return PlanStructure.ONE_SIDE_STRICT
-    ties = {a: agent_tie_structure(instance, a) for a in instance.agents()}
+    ties = detect_tie_structure(instance)
     if all(t is not None for t in ties.values()):
         if max(t.max_size() for t in ties.values()) <= 2:
             return PlanStructure.TIES_AT_MOST_2

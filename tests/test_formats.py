@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from interviewplan.errors import InvalidInstance, ParseError
@@ -14,7 +16,12 @@ from interviewplan.formats import (
     parse_matching,
     parse_truth,
 )
-from interviewplan.generators import generate
+from interviewplan.generators import (
+    cover_market_smt,
+    cover_market_smti,
+    generate,
+    random_bounded_graph,
+)
 from interviewplan.model import couple, man, woman
 from interviewplan.stability import gale_shapley
 
@@ -120,10 +127,37 @@ def test_graph_header_edge_count_checked():
         parse_graph("graph 3 2\n1 2\n")
 
 
+# sha256 of the instance + truth (+ matching) text of one market per
+# family: generated files stay byte-identical however relations are built
+GENERATED_DIGESTS = {
+    "tiered": "2a9c68c88e897d6f9d202348302a04a9be17d4002dd24a57cbcf966290e6ec8f",
+    "random_smti": "c6fa642ed394e77039d9b0a0cb9ec8b5f92b7a8ae492c56d8b756bf3e463b2ac",
+    "master_ties": "fb75081271d6dcf069805c754c85db50e5e97d88d7836a98644b2630ac19804b",
+    "one_side_strict": "0dc6ef5de80d6831868e2af6b149555012519bf94ff655becc3f148bdf884dbf",
+    "cover_market_smti": "7b31ef3e1f2312b89ca2c2cc4f3223f9767c56ec0be54dc7ecc58ccdb68c8232",
+    "cover_market_smt": "b13cf71806edcb2a1b7fc5befce0926f165481ba0fe8a205f3f77d04f945cdea",
+}
+
+
+def _generated_markets():
+    for family, kw in (("tiered", {"tiers": [2, 3, 1]}), ("random_smti", {"density": 0.7}),
+                       ("master_ties", {}), ("one_side_strict", {"density": 0.7})):
+        inst, truth = generate(family, n=6, seed=4, **kw)
+        yield family, inst, truth, gale_shapley(truth)
+    graph = random_bounded_graph(6, 3, seed=2)
+    for build in (cover_market_smti, cover_market_smt):
+        inst, truth, mu, _ = build(graph)
+        yield build.__name__, inst, truth, mu
+
+
 def test_writer_deterministic_for_generated(tmp_path):
-    inst, truth = generate("master_ties", n=4, seed=3, tie_cap=2)
-    mu = gale_shapley(truth)
-    assert format_instance(inst) == format_instance(inst)
-    assert parse_instance(format_instance(inst)) == inst
-    assert parse_truth(format_truth(truth)) == truth
-    assert parse_matching(format_matching(mu)) == mu
+    for name, inst, truth, mu in _generated_markets():
+        text = format_instance(inst)
+        assert format_instance(inst) == text
+        assert parse_instance(text) == inst
+        assert parse_truth(format_truth(truth)) == truth
+        assert parse_matching(format_matching(mu)) == mu
+        written = text + format_truth(truth)
+        if name.startswith("cover_market"):
+            written += format_matching(mu)
+        assert hashlib.sha256(written.encode()).hexdigest() == GENERATED_DIGESTS[name], name

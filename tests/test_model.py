@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interviewplan.errors import ShapeMismatch, UnacceptableCandidate
 from interviewplan.generators import generate
@@ -8,6 +10,7 @@ from interviewplan.model import (
     Comparison,
     Instance,
     Relation,
+    TieStructure,
     agent_tie_structure,
     compare,
     detect_tie_structure,
@@ -15,6 +18,7 @@ from interviewplan.model import (
     linear_extensions,
     man,
     relation,
+    tie_relation,
     validate_instance,
     woman,
 )
@@ -147,6 +151,34 @@ class TestRefinement:
         assert is_refinement(inst, full)
 
 
+CANDIDATES = [woman(j) for j in range(1, 7)]
+
+
+def ordered_partitions(items):
+    """Every ordered partition of the items into non-empty classes."""
+    if not items:
+        yield ()
+        return
+    for labels in itertools.product(range(len(items)), repeat=len(items)):
+        used = sorted(set(labels))
+        if used != list(range(len(used))):
+            continue
+        yield tuple(frozenset(c for c, lab in zip(items, labels) if lab == t)
+                    for t in used)
+
+
+def tie_spec(rel):
+    """The unique ordered partition of the acceptable set whose cross-class
+    pairs are exactly the relation's edges inside that set, else None."""
+    inside = {(c1, c2) for c1, c2 in rel.edges
+              if c1 in rel.acceptable and c2 in rel.acceptable}
+    found = [parts for parts in ordered_partitions(sorted(rel.acceptable))
+             if {(hi, lo) for t, cls in enumerate(parts) for later in parts[t + 1:]
+                 for hi in cls for lo in later} == inside]
+    assert len(found) <= 1
+    return TieStructure(found[0]) if found else None
+
+
 class TestTieStructure:
     def test_master_tie_single_class(self, mt3):
         ties = detect_tie_structure(mt3.instance)
@@ -162,13 +194,13 @@ class TestTieStructure:
 
     def test_top_candidate_then_tie(self):
         inst = one_man_three_women([(woman(1), woman(2)), (woman(1), woman(3))])
-        ties = agent_tie_structure(inst, man(1))
+        ties = agent_tie_structure(inst.relations[man(1)])
         assert ties.classes == (frozenset({woman(1)}),
                                 frozenset({woman(2), woman(3)}))
 
     def test_partial_order_not_tie_shaped(self):
         inst = one_man_three_women([(woman(1), woman(2))])
-        assert agent_tie_structure(inst, man(1)) is None
+        assert agent_tie_structure(inst.relations[man(1)]) is None
         assert inst.kind == "smpi"
 
     def test_reconstruction_roundtrip(self):
@@ -180,6 +212,41 @@ class TestTieStructure:
             for a, t in ties.items():
                 assert t is not None
                 assert t.as_edges() == inst.relations[a].edges
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(st.data())
+    def test_equals_brute_force_spec(self, data):
+        # a weak order over up to 5 acceptable candidates, with up to four
+        # edges toggled anywhere among six candidates: edges leaving the
+        # acceptable set and reflexive edges included
+        acceptable = data.draw(st.lists(st.sampled_from(CANDIDATES[:5]),
+                                        unique=True, max_size=5))
+        ranks = data.draw(st.lists(st.integers(0, 3), min_size=len(acceptable),
+                                   max_size=len(acceptable)))
+        edges = {(c1, c2) for c1, r1 in zip(acceptable, ranks)
+                 for c2, r2 in zip(acceptable, ranks) if r1 < r2}
+        edges ^= data.draw(st.sets(st.tuples(st.sampled_from(CANDIDATES),
+                                             st.sampled_from(CANDIDATES)), max_size=4))
+        rel = Relation(man(1), frozenset(acceptable), frozenset(edges))
+        assert agent_tie_structure(rel) == tie_spec(rel)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(CANDIDATES), unique=True, max_size=3),
+                    max_size=4).filter(
+        lambda cls: len({c for g in cls for c in g}) == sum(map(len, cls))))
+    def test_tie_relation_roundtrip(self, classes):
+        rel = tie_relation(man(1), classes)
+        assert rel.acceptable == frozenset(c for g in classes for c in g)
+        assert agent_tie_structure(rel) == TieStructure(
+            tuple(frozenset(g) for g in classes if g))
+
+    def test_detection_cached_read_only(self, mt3):
+        ties = detect_tie_structure(mt3.instance)
+        assert detect_tie_structure(mt3.instance) is ties
+        assert mt3.instance.kind == "smt"
+        assert detect_tie_structure(mt3.instance) is ties
+        with pytest.raises(TypeError):
+            ties[man(1)] = None
 
     def test_kind_detection(self, fig1, tri, mt3):
         assert fig1.instance.kind == "smt"

@@ -89,6 +89,11 @@ class TestOracleBestPlan:
                 for mu in stable_matchings(truth))
             assert cost == per_matching
 
+    def test_cap_checked_before_validation(self, mt3, fig1):
+        # an over-cap market is refused before its truth is checked
+        with pytest.raises(SizeLimitExceeded):
+            oracle_best_plan(mt3.instance, fig1.truth, size_cap=4)
+
     def test_witness_matching_super_stable(self):
         for seed in range(25):
             inst, truth = generate("random_smti", n=3, seed=seed,
