@@ -32,7 +32,7 @@ from .model import (
     Pair,
     StrictProfile,
 )
-from .stability import Blocking, blocking_pairs, check_matching, weakly_stable_under
+from .stability import _very_weak_blockers, check_matching, weakly_stable_under
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,7 @@ def analyze_blockers(instance: Instance, truth: StrictProfile,
             "target matching has a blocking pair under the true preferences")
 
     blockers = []
-    for bp in blocking_pairs(instance, matching, Blocking.VERY_WEAK):
-        m, w = bp.man, bp.woman
+    for m, w in _very_weak_blockers(instance, matching, instance.acceptable_pairs()):
         man_keen = _truly_prefers(truth, m, w, matching)
         woman_keen = _truly_prefers(truth, w, m, matching)
         if man_keen and woman_keen:
@@ -222,17 +221,7 @@ def format_blocker_report(report: BlockerReport, matching: Matching) -> str:
 
 def is_resolved(refined: Instance, blocker: PotentialBlocker,
                 matching: Matching) -> bool:
-    """True when the refined knowledge state settles the blocker: one member
-    now provably prefers its own partner to the other member.
-
-    For a blocker involving an unmatched agent only the matched side can
-    settle it.
-    """
-    m, w = blocker.man, blocker.woman
-    pm = matching.partner(m)
-    if pm is not None and refined.relations[m].prefers(pm, w):
-        return True
-    pw = matching.partner(w)
-    if pw is not None and refined.relations[w].prefers(pw, m):
-        return True
-    return False
+    """True when the blocker no longer very weakly blocks the matching in
+    the refined knowledge state: a matched member now provably prefers its
+    own partner to the other member."""
+    return not any(_very_weak_blockers(refined, matching, (blocker.pair,)))

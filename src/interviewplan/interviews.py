@@ -11,6 +11,7 @@ literal set of learned comparisons (no transitive closure).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -61,11 +62,8 @@ def _apply_unchecked(instance: Instance, truth: StrictProfile,
             continue
         ordered = sorted(cands, key=lambda c: truth.rank(a, c))
         rel = rels[a]
-        new = set(rel.edges)
-        for i, hi in enumerate(ordered):
-            for lo in ordered[i + 1:]:
-                new.add((hi, lo))
-        rels[a] = Relation(a, rel.acceptable, frozenset(new))
+        rels[a] = Relation(a, rel.acceptable,
+                           rel.edges.union(itertools.combinations(ordered, 2)))
     return Instance(instance.n_men, instance.n_women, rels, base=False)
 
 

@@ -207,15 +207,18 @@ class StrictProfile:
 
     def refines(self, instance: Instance) -> bool:
         """True when every agent ranks exactly its acceptable set and every
-        instance comparison is respected."""
+        instance comparison is between ranked candidates and respected."""
         for a, rel in instance.relations.items():
             seq = self.ranking.get(a, ())
             if set(seq) != set(rel.acceptable) or len(seq) != len(rel.acceptable):
                 return False
             ranks = self._rank.get(a, {})
-            for c1, c2 in rel.edges:
-                if ranks[c1] > ranks[c2]:
-                    return False
+            try:
+                for c1, c2 in rel.edges:
+                    if ranks[c1] > ranks[c2]:
+                        return False
+            except KeyError:  # an edge leaves the acceptable set
+                return False
         return True
 
     def as_instance(self, n_men: int | None = None, n_women: int | None = None) -> Instance:

@@ -22,7 +22,7 @@ from .errors import (
 from .interviews import _apply_unchecked
 from .model import Instance, Matching, Pair, StrictProfile
 from .stability import (
-    _has_very_weak_blocker,
+    _very_weak_blockers,
     check_matching,
     iter_matchings,
     stable_matchings,
@@ -69,7 +69,7 @@ def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
         for extra in itertools.combinations(universe, k):
             chosen = base | frozenset(extra)
             refined = _apply_unchecked(instance, truth, chosen)
-            if not _has_very_weak_blocker(refined, matching, pairs):
+            if not any(_very_weak_blockers(refined, matching, pairs)):
                 return len(chosen), chosen
     raise InternalAssumptionViolated("interviewing every pair must succeed")
 
@@ -97,7 +97,7 @@ def oracle_best_plan(instance: Instance, truth: StrictProfile,
         for chosen in itertools.combinations(sorted_pairs, k):
             chosen_set = frozenset(chosen)
             refined = _apply_unchecked(instance, truth, chosen_set)
-            if any(not _has_very_weak_blocker(refined, mu, pairs) for mu in candidates):
+            if any(not any(_very_weak_blockers(refined, mu, pairs)) for mu in candidates):
                 witness = find_super_stable(refined, matching_cap)
                 if witness is None:
                     raise InternalAssumptionViolated(
@@ -117,7 +117,7 @@ def find_super_stable(instance: Instance, size_cap: int = 8) -> Optional[Matchin
     for candidate in iter_matchings(instance):
         if best is not None and candidate >= best:
             continue
-        if not _has_very_weak_blocker(instance, Matching(candidate), pairs):
+        if not any(_very_weak_blockers(instance, Matching(candidate), pairs)):
             best = candidate
     return Matching(best) if best is not None else None
 

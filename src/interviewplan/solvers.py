@@ -31,6 +31,8 @@ from .model import (
 )
 from .stability import Stability, is_stable, stable_matchings
 
+FALLBACK_PAIR_CAP = 20
+
 
 class PlanStructure(Enum):
     ONE_SIDE_STRICT = "one_side_strict"
@@ -275,8 +277,7 @@ def detect_structure(instance: Instance) -> PlanStructure:
 
 
 def plan_for_matching(instance: Instance, truth: StrictProfile,
-                      matching: Matching, *,
-                      fallback_cap: int = 20) -> InterviewPlan:
+                      matching: Matching) -> InterviewPlan:
     """Minimum-cost interview schedule making the target matching
     super-stable.
 
@@ -284,21 +285,21 @@ def plan_for_matching(instance: Instance, truth: StrictProfile,
     matched pairs, and the matched pairs chosen by a minimum vertex cover
     of the blocker graph.  The resulting knowledge state is re-checked for
     super-stability of the target; if any structural assertion fails the
-    solver falls back to exhaustive search (within ``fallback_cap``
+    solver falls back to exhaustive search (within ``FALLBACK_PAIR_CAP``
     mutually acceptable pairs) rather than return an unverified optimum.
     """
     report = analyze_blockers(instance, truth, matching)
     try:
         return _assemble_plan(instance, truth, matching, report)
     except InternalAssumptionViolated:
-        if len(instance.acceptable_pairs()) > fallback_cap:
+        if len(instance.acceptable_pairs()) > FALLBACK_PAIR_CAP:
             raise
         warnings.warn("structural assertion failed; falling back to exhaustive search",
                       RuntimeWarning, stacklevel=2)
         from .oracles import oracle_plan_for_matching
 
         cost, interviews = oracle_plan_for_matching(instance, truth, matching,
-                                                    mode="pure", size_cap=fallback_cap)
+                                                    mode="pure", size_cap=FALLBACK_PAIR_CAP)
         refined = apply_interviews(instance, truth, interviews)
         return InterviewPlan(cost, interviews, refined, report,
                              cost - len(report.blockers) - len(report.mandated_men),

@@ -9,6 +9,10 @@ weak blocking pair merely needs both members not to prefer their partners.
 Weak, strong and super stability are the absence of, respectively, strong,
 weak and very weak blocking pairs.  On strict instances the three notions
 coincide.
+
+One scan, :func:`_very_weak_blockers`, decides very weak blocking; every
+strong or weak blocker is also a very weak one, so the other levels are
+filters over it.
 """
 
 from __future__ import annotations
@@ -101,36 +105,10 @@ def _qualifies(level: Blocking, man_att: Attitude, woman_att: Attitude) -> bool:
     return man_att in _KEEN and woman_att in _KEEN
 
 
-def blocking_pairs(instance: Instance, matching: Matching,
-                   level: Blocking) -> tuple[BlockingPair, ...]:
-    """All acceptable non-matched pairs blocking at the given level."""
-    check_matching(instance, matching)
-    out = []
-    for m, w in instance.acceptable_pairs():
-        if matching.partner(m) == w:
-            continue
-        man_att = attitude(instance, m, w, matching)
-        woman_att = attitude(instance, w, m, matching)
-        if _qualifies(level, man_att, woman_att):
-            out.append(BlockingPair(m, w, level, man_att, woman_att))
-    return tuple(out)
-
-
-def is_stable(instance: Instance, matching: Matching, level: Stability) -> bool:
-    """Weak stability forbids strong blockers, strong stability forbids weak
-    blockers, super-stability forbids very weak blockers."""
-    against = {
-        Stability.WEAK: Blocking.STRONG,
-        Stability.STRONG: Blocking.WEAK,
-        Stability.SUPER: Blocking.VERY_WEAK,
-    }[level]
-    return not blocking_pairs(instance, matching, against)
-
-
-def _has_very_weak_blocker(instance: Instance, matching: Matching,
-                           pairs: Iterable[Pair]) -> bool:
-    # Hot path used inside subset searches: no matching validation, and the
-    # caller passes the instance's acceptable pairs, computed once.
+def _very_weak_blockers(instance: Instance, matching: Matching,
+                        pairs: Iterable[Pair]) -> Iterator[Pair]:
+    # Unchecked: the caller validates the matching and passes acceptable
+    # pairs.  A pair blocks unless matched or settled by a partner's edge.
     partner = matching.partner
     relations = instance.relations
     for m, w in pairs:
@@ -142,8 +120,35 @@ def _has_very_weak_blocker(instance: Instance, matching: Matching,
         pw = partner(w)
         if pw is not None and (pw, m) in relations[w].edges:
             continue
-        return True
-    return False
+        yield m, w
+
+
+def _blocking(instance: Instance, matching: Matching,
+              level: Blocking) -> Iterator[BlockingPair]:
+    for m, w in _very_weak_blockers(instance, matching, instance.acceptable_pairs()):
+        man_att = attitude(instance, m, w, matching)
+        woman_att = attitude(instance, w, m, matching)
+        if _qualifies(level, man_att, woman_att):
+            yield BlockingPair(m, w, level, man_att, woman_att)
+
+
+def blocking_pairs(instance: Instance, matching: Matching,
+                   level: Blocking) -> tuple[BlockingPair, ...]:
+    """All acceptable non-matched pairs blocking at the given level."""
+    check_matching(instance, matching)
+    return tuple(_blocking(instance, matching, level))
+
+
+def is_stable(instance: Instance, matching: Matching, level: Stability) -> bool:
+    """Weak stability forbids strong blockers, strong stability forbids weak
+    blockers, super-stability forbids very weak blockers."""
+    against = {
+        Stability.WEAK: Blocking.STRONG,
+        Stability.STRONG: Blocking.WEAK,
+        Stability.SUPER: Blocking.VERY_WEAK,
+    }[level]
+    check_matching(instance, matching)
+    return next(_blocking(instance, matching, against), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +266,8 @@ def extension_agreement(instance: Instance, matching: Matching,
             raise SizeLimitExceeded("extension profile space exceeds the cap")
         per_agent.append([{c: i for i, c in enumerate(ext)} for ext in exts])
 
-    super_verdict = not _has_very_weak_blocker(instance, matching,
-                                               instance.acceptable_pairs())
+    super_verdict = not any(_very_weak_blockers(instance, matching,
+                                                instance.acceptable_pairs()))
     pairs = [(m, w) for m, w in instance.acceptable_pairs()
              if matching.partner(m) != w]
     index = {a: i for i, a in enumerate(agents)}

@@ -6,7 +6,18 @@ from interviewplan.blockers import analyze_blockers, cover_graph, is_resolved
 from interviewplan.errors import MatchingNotWeaklyStable, TruthInconsistent
 from interviewplan.generators import generate
 from interviewplan.interviews import apply_interviews
-from interviewplan.model import MAN, WOMAN, Matching, StrictProfile, interview_set, man, woman
+from interviewplan.model import (
+    MAN,
+    WOMAN,
+    Instance,
+    Matching,
+    Relation,
+    StrictProfile,
+    interview_set,
+    man,
+    woman,
+)
+from interviewplan.solvers import plan_for_matching
 from interviewplan.stability import gale_shapley
 
 
@@ -42,6 +53,20 @@ class TestClassification:
     def test_inconsistent_truth_rejected(self, fig1, tt2):
         with pytest.raises(TruthInconsistent):
             analyze_blockers(fig1.truth.as_instance(), tt2.truth, fig1.matching)
+
+    def test_edge_leaving_acceptable_set_is_inconsistent(self, tt2):
+        # m1 ranks w2 above w3, who is not on his list: no strict profile
+        # over his acceptable set respects that comparison
+        rels = dict(tt2.instance.relations)
+        rels[man(1)] = Relation(man(1), rels[man(1)].acceptable,
+                                frozenset({(woman(2), woman(3))}))
+        inst = Instance(2, 2, rels)
+        assert not tt2.truth.refines(inst)
+        for solve in (analyze_blockers, plan_for_matching):
+            with pytest.raises(TruthInconsistent):
+                solve(inst, tt2.truth, tt2.matching)
+        with pytest.raises(TruthInconsistent):
+            apply_interviews(inst, tt2.truth, frozenset())
 
     def test_unmatched_agent_blocker_is_degree_one(self):
         # 2 men, 1 woman: m2 stays single and the woman truly prefers m1

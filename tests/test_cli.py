@@ -1,8 +1,11 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import interviewplan
 from interviewplan.cli import main
 from interviewplan.formats import (
     format_instance,
@@ -268,6 +271,10 @@ class TestBench:
 
 
 def test_module_entry_point_runs():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(interviewplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "interviewplan", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0

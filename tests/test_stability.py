@@ -1,17 +1,27 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from interviewplan.blockers import PotentialBlocker, is_resolved
 from interviewplan.errors import InvalidMatching, SizeLimitExceeded
 from interviewplan.generators import generate
 from interviewplan.interviews import apply_interviews
 from interviewplan.model import (
+    Instance,
     Matching,
+    Relation,
     interview_set,
     man,
     woman,
 )
 from interviewplan.stability import (
     Blocking,
+    BlockingPair,
     Stability,
+    _qualifies,
+    attitude,
     blocking_pairs,
     extension_agreement,
     gale_shapley,
@@ -56,6 +66,64 @@ class TestBlockingPairs:
         with pytest.raises(InvalidMatching):
             blocking_pairs(fig1.instance, Matching([(man(1), woman(9))]),
                            Blocking.WEAK)
+
+
+@st.composite
+def asymmetric_markets(draw):
+    """Up to 4 agents per side, each with a random acceptable set and, per
+    pair of its candidates, no edge or one edge in either direction (not
+    necessarily transitive), plus a partial matching over mutually
+    acceptable pairs."""
+    n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    men = [man(i) for i in range(1, n_men + 1)]
+    women = [woman(j) for j in range(1, n_women + 1)]
+    rels = {}
+    for a, others in [(m, women) for m in men] + [(w, men) for w in women]:
+        acceptable = [c for c in others if draw(st.integers(0, 3)) > 0]
+        edges = set()
+        for c1, c2 in itertools.combinations(acceptable, 2):
+            way = draw(st.sampled_from((None, (c1, c2), (c2, c1))))
+            if way is not None:
+                edges.add(way)
+        rels[a] = Relation(a, frozenset(acceptable), frozenset(edges))
+    instance = Instance(n_men, n_women, rels, base=False)
+    taken, matched = set(), []
+    for m, w in draw(st.permutations(instance.acceptable_pairs())):
+        if m not in taken and w not in taken and draw(st.booleans()):
+            taken |= {m, w}
+            matched.append((m, w))
+    return instance, Matching(matched)
+
+
+def spec_blocking_pairs(instance, matching, level):
+    """Every acceptable unmatched pair, classified by attitude."""
+    out = []
+    for m, w in instance.acceptable_pairs():
+        if matching.partner(m) == w:
+            continue
+        man_att = attitude(instance, m, w, matching)
+        woman_att = attitude(instance, w, m, matching)
+        if _qualifies(level, man_att, woman_att):
+            out.append(BlockingPair(m, w, level, man_att, woman_att))
+    return tuple(out)
+
+
+class TestOneScan:
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(asymmetric_markets())
+    def test_levels_equal_spec(self, market):
+        instance, mu = market
+        expected = {level: spec_blocking_pairs(instance, mu, level) for level in Blocking}
+        for level in Blocking:
+            assert blocking_pairs(instance, mu, level) == expected[level]
+        for stability, against in ((Stability.WEAK, Blocking.STRONG),
+                                   (Stability.STRONG, Blocking.WEAK),
+                                   (Stability.SUPER, Blocking.VERY_WEAK)):
+            assert is_stable(instance, mu, stability) == (expected[against] == ())
+        very_weak = {(b.man, b.woman) for b in expected[Blocking.VERY_WEAK]}
+        for m, w in instance.acceptable_pairs():
+            resolved = is_resolved(instance, PotentialBlocker(m, w, 2), mu)
+            assert resolved == ((m, w) not in very_weak)
 
 
 class TestIsStable:
