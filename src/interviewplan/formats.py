@@ -192,9 +192,7 @@ def _normalize_mutual(instance: Instance, warnings: list[str] | None) -> Instanc
                 warnings.append(
                     f"{a}: dropped one-sided acceptability toward "
                     + " ".join(str(c) for c in dropped))
-            edges = frozenset((c1, c2) for c1, c2 in rel.edges
-                              if c1 in keep and c2 in keep)
-            rels[a] = Relation(a, keep, edges)
+            rels[a] = rel.restricted(keep)
         else:
             rels[a] = rel
     if not changed:
@@ -229,9 +227,9 @@ def format_instance(instance: Instance, style: str | None = None) -> str:
             acc = " ".join(str(c) for c in sorted(rel.acceptable))
             lines.append(f"{a} accepts: {acc}".rstrip())
         for a in instance.agents():
-            rel = instance.relations[a]
-            if rel.edges:
-                body = ", ".join(f"{c1} > {c2}" for c1, c2 in sorted(rel.edges))
+            edges = instance.relations[a].edges
+            if edges:
+                body = ", ".join(f"{c1} > {c2}" for c1, c2 in sorted(edges))
                 lines.append(f"{a} prefers: {body}")
     return "\n".join(lines) + "\n"
 

@@ -22,7 +22,6 @@ from .model import (
     Agent,
     Instance,
     Matching,
-    Relation,
     StrictProfile,
     detect_tie_structure,
     man,
@@ -163,9 +162,8 @@ def cover_market_smti(graph: SimpleGraph) -> tuple[Instance, StrictProfile, Matc
     for u, v in oriented.arcs:
         men_acc[man(u)] |= {woman(v)}
         women_acc[woman(v)] |= {man(u)}
-    rels = {}
-    for a, acc in itertools.chain(men_acc.items(), women_acc.items()):
-        rels[a] = Relation(a, acc, frozenset())
+    rels = {a: tie_relation(a, [acc])
+            for a, acc in itertools.chain(men_acc.items(), women_acc.items())}
     instance = Instance(n, n, rels)
     truth = _identity_top_truth(instance)
     matching = Matching([(man(i), woman(i)) for i in range(1, n + 1)])
@@ -191,7 +189,7 @@ def cover_market_smt(graph: SimpleGraph) -> tuple[Instance, StrictProfile, Match
         neighbors[v].add(u)
     rels = {}
     for i in range(1, n + 1):
-        rels[man(i)] = Relation(man(i), all_women, frozenset())
+        rels[man(i)] = tie_relation(man(i), [all_women])
         top = frozenset({man(i)} | {man(j) for j in neighbors[i]})
         rels[woman(i)] = tie_relation(woman(i), [top, all_men - top])
     instance = Instance(n, n, rels)

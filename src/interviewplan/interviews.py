@@ -20,7 +20,6 @@ from .model import (
     Agent,
     Instance,
     Pair,
-    Relation,
     StrictProfile,
     couple,
     is_refinement,
@@ -61,9 +60,7 @@ def _apply_unchecked(instance: Instance, truth: StrictProfile,
         if len(cands) < 2:
             continue
         ordered = sorted(cands, key=lambda c: truth.rank(a, c))
-        rel = rels[a]
-        rels[a] = Relation(a, rel.acceptable,
-                           rel.edges.union(itertools.combinations(ordered, 2)))
+        rels[a] = rels[a].learn(itertools.combinations(ordered, 2))
     return Instance(instance.n_men, instance.n_women, rels, base=False)
 
 
@@ -100,7 +97,7 @@ def interview_compatibility(base: Instance, refined: Instance) -> CompatibilityW
     endpoints: dict[Agent, frozenset[Agent]] = {}
     offender = None
     for a in base.agents():
-        new_edges = refined.relations[a].edges - base.relations[a].edges
+        new_edges = refined.relations[a].gains_over(base.relations[a])
         s = set()
         for c1, c2 in new_edges:
             s.add(c1)

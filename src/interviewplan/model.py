@@ -2,21 +2,26 @@
 
 An instance holds, per agent, the set of acceptable candidates on the other
 side of the market together with the comparisons the agent can currently
-make, stored as an explicit set of directed edges (preferred, other).  A
-refined knowledge state produced by interviews keeps the literal set of
-learned comparisons and is NOT transitively closed: closing it could
-manufacture comparisons between candidates an agent never met.  Base
-instances, by contrast, are required to be genuine partial orders.
+make.  A :class:`Relation` stores them as ordered indifference classes with
+a level per candidate, plus any explicit edges (preferred, other) beyond
+the classes; its full edge set is a view derived on each read.  A refined
+knowledge state produced by interviews keeps the base classes and adds the
+literal set of learned comparisons as explicit edges, NOT transitively
+closed: closing it could manufacture comparisons between candidates an
+agent never met.  Base instances, by contrast, are required to be genuine
+partial orders.
 
 Ordered indifference classes (ties) have one home here: :func:`tie_relation`
-builds a relation from classes, :func:`agent_tie_structure` recovers the
-classes from a relation in O(edges) by grouping candidates by in-degree, and
+builds a relation from classes without building edges,
+:func:`agent_tie_structure` returns the stored classes or recovers them from
+the edges in O(edges) by grouping candidates by in-degree, and
 :func:`detect_tie_structure` decomposes an instance once, cached on it.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -64,24 +69,102 @@ def couple(a: Agent, b: Agent) -> Pair:
     return (a, b) if a.side == MAN else (b, a)
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One agent's acceptability set and explicit strict comparisons.
+_UNCLASSED = sys.maxsize
+_NO_LEVELS: Mapping[Agent, int] = MappingProxyType({})
 
-    ``edges`` contains ``(c1, c2)`` when the owner strictly prefers ``c1``
-    to ``c2``.  Absence of both directions means the owner cannot compare
-    the two candidates.
+
+class Relation:
+    """One agent's acceptability set and strict comparisons.
+
+    A comparison ``(c1, c2)`` means the owner strictly prefers ``c1`` to
+    ``c2``; with neither direction present the owner cannot compare the two.
+    The comparisons are stored in two parts:
+
+    - ``classes``: ordered indifference classes, best first, with ``level``
+      mapping each of their candidates to its class index.  Every candidate
+      beats everyone in a later class; a class is tied inside.
+    - ``extra``: explicit comparisons beyond the classes.
+
+    ``Relation(owner, acceptable, edges)`` stores explicit edges and no
+    classes.  :func:`tie_relation` stores classes and no edges, and
+    :meth:`learn` adds comparisons to ``extra`` while sharing the classes.
+
+    ``edges``, the set of all comparisons, is derived on every read: it
+    costs O(d²) for a class-built relation over d candidates, so a reader
+    that loops over it binds it once.  :meth:`prefers` and
+    :meth:`comparable` answer from the class levels in O(1).  Equality and
+    hashing are over ``(owner, acceptable, edges)``, so a class-built
+    relation equals its edge-built twin.  Relations are immutable values.
     """
 
-    owner: Agent
-    acceptable: frozenset[Agent]
-    edges: frozenset[Pair]
+    __slots__ = ("owner", "acceptable", "classes", "level", "extra")
+
+    def __init__(self, owner: Agent, acceptable: frozenset[Agent], edges: frozenset[Pair]):
+        self.owner = owner
+        self.acceptable = acceptable
+        self.classes: tuple[frozenset[Agent], ...] = ()
+        self.level = _NO_LEVELS
+        self.extra = edges
+
+    @classmethod
+    def _of(cls, owner: Agent, acceptable: frozenset[Agent],
+            classes: tuple[frozenset[Agent], ...], level: Mapping[Agent, int],
+            extra: frozenset[Pair]) -> Relation:
+        rel = cls.__new__(cls)
+        rel.owner, rel.acceptable, rel.extra = owner, acceptable, extra
+        rel.classes, rel.level = classes, level
+        return rel
+
+    @property
+    def edges(self) -> frozenset[Pair]:
+        """Every comparison: the class-implied pairs plus ``extra``, built on
+        each read."""
+        if not self.classes:
+            return self.extra
+        return TieStructure(self.classes).as_edges() | self.extra
 
     def prefers(self, c1: Agent, c2: Agent) -> bool:
-        return (c1, c2) in self.edges
+        # an unclassed c1 reads as worse than every level and an unclassed c2
+        # as better, so the level test holds only between classed candidates
+        level = self.level
+        if level and level.get(c1, _UNCLASSED) < level.get(c2, -1):
+            return True
+        extra = self.extra
+        return bool(extra) and (c1, c2) in extra
 
     def comparable(self, c1: Agent, c2: Agent) -> bool:
-        return (c1, c2) in self.edges or (c2, c1) in self.edges
+        return self.prefers(c1, c2) or self.prefers(c2, c1)
+
+    def learn(self, pairs: Iterable[Pair]) -> Relation:
+        """This relation with the given comparisons added to ``extra``."""
+        return Relation._of(self.owner, self.acceptable, self.classes, self.level,
+                            self.extra.union(pairs))
+
+    def restricted(self, keep: frozenset[Agent]) -> Relation:
+        """This relation over the candidates in ``keep`` only."""
+        extra = frozenset((c1, c2) for c1, c2 in self.extra if c1 in keep and c2 in keep)
+        ties = tie_relation(self.owner, (cls & keep for cls in self.classes))
+        return Relation._of(self.owner, keep, ties.classes, ties.level, extra)
+
+    def gains_over(self, base: Relation) -> frozenset[Pair]:
+        """The comparisons of this relation that ``base`` lacks."""
+        if self.classes == base.classes:
+            # the class-implied comparisons are shared; only extra can differ
+            return frozenset(p for p in self.extra if not base.prefers(*p))
+        return self.edges - base.edges
+
+    def __eq__(self, other):
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return (self.owner == other.owner and self.acceptable == other.acceptable
+                and self.edges == other.edges)
+
+    def __hash__(self):
+        return hash((self.owner, self.acceptable, self.edges))
+
+    def __repr__(self):
+        return (f"Relation(owner={self.owner!r}, acceptable={self.acceptable!r}, "
+                f"edges={self.edges!r})")
 
 
 def relation(owner: Agent, acceptable: Iterable[Agent], edges: Iterable[Pair] = ()) -> Relation:
@@ -177,12 +260,13 @@ class TieStructure:
 
 
 def tie_relation(owner: Agent, classes: Iterable[Iterable[Agent]]) -> Relation:
-    """The relation of an agent who ranks the given indifference classes
-    best first: every candidate is acceptable, each class is tied, and
-    every candidate beats everyone in later classes."""
-    ties = TieStructure(tuple(frozenset(cls) for cls in classes))
-    acceptable = frozenset(c for cls in ties.classes for c in cls)
-    return Relation(owner, acceptable, ties.as_edges())
+    """The relation of an agent who ranks the given disjoint indifference
+    classes best first: every candidate is acceptable, each class is tied,
+    and every candidate beats everyone in later classes.  Stores the
+    non-empty classes and their levels; builds no edge set."""
+    kept = tuple(cls for cls in map(frozenset, classes) if cls)
+    level = {c: i for i, cls in enumerate(kept) for c in cls}
+    return Relation._of(owner, frozenset(level), kept, level, frozenset())
 
 
 class StrictProfile:
@@ -214,7 +298,14 @@ class StrictProfile:
                 return False
             ranks = self._rank.get(a, {})
             try:
-                for c1, c2 in rel.edges:
+                worst = -1
+                for cls in rel.classes:
+                    # the truth ranks each class wholly after the classes before it
+                    class_ranks = [ranks[c] for c in cls]
+                    if min(class_ranks) < worst:
+                        return False
+                    worst = max(class_ranks)
+                for c1, c2 in rel.extra:
                     if ranks[c1] > ranks[c2]:
                         return False
             except KeyError:  # an edge leaves the acceptable set
@@ -342,18 +433,19 @@ def validate_instance(instance: Instance) -> ValidationReport:
             elif a not in instance.relations[c].acceptable:
                 out.append(Violation("one_sided_acceptability", a,
                                      f"{a} accepts {c} but not vice versa"))
-        for c1, c2 in sorted(rel.edges):
+        edges = rel.edges
+        for c1, c2 in sorted(edges):
             if c1 == c2:
                 out.append(Violation("reflexive_edge", a, f"({c1}, {c2})"))
-            if (c2, c1) in rel.edges and c1 < c2:
+            if (c2, c1) in edges and c1 < c2:
                 out.append(Violation("asymmetry", a,
                                      f"both ({c1}, {c2}) and ({c2}, {c1}) present"))
             if c1 not in rel.acceptable or c2 not in rel.acceptable:
                 out.append(Violation("edge_outside_acceptable", a, f"({c1}, {c2})"))
         if instance.base:
-            for c1, c2 in sorted(rel.edges):
+            for c1, c2 in sorted(edges):
                 for c3 in sorted(rel.acceptable):
-                    if (c2, c3) in rel.edges and (c1, c3) not in rel.edges and c1 != c3:
+                    if (c2, c3) in edges and (c1, c3) not in edges and c1 != c3:
                         out.append(Violation(
                             "not_transitive", a,
                             f"({c1}, {c2}) and ({c2}, {c3}) without ({c1}, {c3})"))
@@ -381,9 +473,9 @@ def compare(instance: Instance, a: Agent, c1: Agent, c2: Agent) -> Comparison:
     rel = instance.relations[a]
     if c1 not in rel.acceptable or c2 not in rel.acceptable:
         raise UnacceptableCandidate(f"{c1} or {c2} not acceptable to {a}")
-    if (c1, c2) in rel.edges:
+    if rel.prefers(c1, c2):
         return Comparison.PREFERS_FIRST
-    if (c2, c1) in rel.edges:
+    if rel.prefers(c2, c1):
         return Comparison.PREFERS_SECOND
     return Comparison.INCOMPARABLE
 
@@ -399,8 +491,8 @@ def is_refinement(base: Instance, candidate: Instance) -> bool:
     """True when every comparison of ``base`` is kept by ``candidate``."""
     if not same_shape(base, candidate):
         raise ShapeMismatch("instances differ in agent sets or acceptability")
-    return all(base.relations[a].edges <= candidate.relations[a].edges
-               for a in base.agents())
+    return not any(base.relations[a].gains_over(candidate.relations[a])
+                   for a in base.agents())
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +503,14 @@ def agent_tie_structure(rel: Relation) -> Optional[TieStructure]:
     """The relation's indifference classes, best first, or None if it is not
     shaped as ordered ties.
 
-    Only edges between acceptable candidates count.  A candidate's in-degree
-    is the size of the better classes, so grouping by it gives the only
-    possible classes; they stand when their ``as_edges()`` equals those edges.
+    A class-built relation without extra comparisons returns its stored
+    classes.  Otherwise only edges between acceptable candidates count: a
+    candidate's in-degree is the size of the better classes, so grouping by
+    it gives the only possible classes; they stand when their ``as_edges()``
+    equals those edges.
     """
+    if not rel.extra and len(rel.level) == len(rel.acceptable):
+        return TieStructure(rel.classes)
     indegree = dict.fromkeys(rel.acceptable, 0)
     inside = frozenset((hi, lo) for hi, lo in rel.edges
                        if hi in indegree and lo in indegree)
@@ -465,7 +561,7 @@ def linear_extensions(instance: Instance, a: Agent,
         raise ValueError("cap must be positive")
     rel = instance.relations[a]
     items = sorted(rel.acceptable)
-    pending = {c: {d for d in items if (d, c) in rel.edges} for c in items}
+    pending = {c: {d for d in items if rel.prefers(d, c)} for c in items}
     out: list[tuple[Agent, ...]] = []
     overflow = False
     prefix: list[Agent] = []

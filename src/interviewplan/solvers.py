@@ -21,8 +21,6 @@ from .blockers import BlockerReport, analyze_blockers, cover_graph
 from .errors import InternalAssumptionViolated
 from .interviews import apply_interviews
 from .model import (
-    MAN,
-    WOMAN,
     Instance,
     Matching,
     Pair,
@@ -212,10 +210,15 @@ def min_vertex_cover(graph) -> tuple:
     the edges still left uncovered total ``k``; otherwise no minimum cover
     extending the choices so far contains it, so all its uncovered
     neighbours join instead.  Vertices with no uncovered edge are skipped.
+    A clique's minimum covers are its vertices but one, so its least one
+    leaves out the largest vertex, with no walk.
     """
     edges = sorted(tuple(sorted(e)) for e in graph.edges)
     cover: list = []
     for comp_vertices, comp_edges in _components(edges):
+        if _is_clique(comp_vertices, comp_edges):
+            cover.extend(comp_vertices[:-1])
+            continue
         k = _cover_size(comp_edges)
         chosen: list = []
         live = comp_edges
@@ -242,26 +245,17 @@ def min_vertex_cover(graph) -> tuple:
 # structure detection
 
 
-def _side_strict(instance: Instance, side: str) -> bool:
-    for a in (instance.men() if side == MAN else instance.women()):
-        rel = instance.relations[a]
-        acc = sorted(rel.acceptable)
-        for i, c1 in enumerate(acc):
-            for c2 in acc[i + 1:]:
-                if not rel.comparable(c1, c2):
-                    return False
-    return True
-
-
 def detect_structure(instance: Instance) -> PlanStructure:
     """Which tractable market shape the instance certifies, if any.
 
-    Checked in order: one side fully strict, all indifference classes of
-    size at most two, one shared class structure per side.
+    Checked in order: one side fully strict (every agent's indifference
+    classes are singletons), all classes of size at most two, one shared
+    class structure per side.
     """
-    if _side_strict(instance, MAN) or _side_strict(instance, WOMAN):
-        return PlanStructure.ONE_SIDE_STRICT
     ties = detect_tie_structure(instance)
+    for side in (instance.men(), instance.women()):
+        if all(ties[a] is not None and ties[a].max_size() <= 1 for a in side):
+            return PlanStructure.ONE_SIDE_STRICT
     if all(t is not None for t in ties.values()):
         if max(t.max_size() for t in ties.values()) <= 2:
             return PlanStructure.TIES_AT_MOST_2

@@ -115,10 +115,10 @@ def _very_weak_blockers(instance: Instance, matching: Matching,
         pm = partner(m)
         if pm == w:
             continue
-        if pm is not None and (pm, w) in relations[m].edges:
+        if pm is not None and relations[m].prefers(pm, w):
             continue
         pw = partner(w)
-        if pw is not None and (pw, m) in relations[w].edges:
+        if pw is not None and relations[w].prefers(pw, m):
             continue
         yield m, w
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import edge_twin
 
 from interviewplan.errors import (
     NotARefinement,
@@ -9,13 +10,20 @@ from interviewplan.errors import (
     UnacceptablePair,
 )
 from interviewplan.formats import format_instance
-from interviewplan.generators import generate
+from interviewplan.generators import (
+    FAMILIES,
+    cover_market_smt,
+    cover_market_smti,
+    generate,
+    random_bounded_graph,
+)
 from interviewplan.interviews import (
     apply_interviews,
     interview_compatibility,
     interview_cost,
 )
 from interviewplan.model import (
+    MAN,
     Instance,
     Relation,
     StrictProfile,
@@ -24,6 +32,8 @@ from interviewplan.model import (
     validate_instance,
     woman,
 )
+from interviewplan.solvers import plan_for_matching
+from interviewplan.stability import gale_shapley
 
 W = [None, woman(1), woman(2), woman(3)]
 M = [None, man(1), man(2), man(3)]
@@ -158,6 +168,31 @@ class TestRoundTrip:
             again = apply_interviews(inst, truth, recovered)
             assert again == refined
             assert format_instance(again) == format_instance(refined)
+
+    def test_cost_equals_edge_built_twin(self):
+        # on class-built states the new comparisons are the refined extra
+        # edges the base does not prefer; the twins rebuilt from literal edge
+        # sets must give the same endpoints, cost and interview set, for the
+        # plan's schedule and for a random one
+        markets = []
+        for family in FAMILIES:
+            for seed in range(3):
+                inst, truth = generate(family, n=8, seed=seed, density=0.7)
+                markets.append((inst, truth, gale_shapley(truth, MAN)))
+        for seed in range(3):
+            for build in (cover_market_smti, cover_market_smt):
+                inst, truth, mu, _ = build(random_bounded_graph(8, 3, seed))
+                markets.append((inst, truth, mu))
+        rng = random.Random(5)
+        for inst, truth, mu in markets:
+            pairs = inst.acceptable_pairs()
+            for chosen in (plan_for_matching(inst, truth, mu).interviews,
+                           interview_set(rng.sample(pairs, len(pairs) // 2))):
+                refined = apply_interviews(inst, truth, chosen)
+                twin, refined_twin = edge_twin(inst), edge_twin(refined)
+                witness = interview_compatibility(twin, refined_twin)
+                assert interview_compatibility(inst, refined) == witness
+                assert interview_cost(inst, refined) == interview_cost(twin, refined_twin)
 
     def test_edge_growth_is_monotone_in_interviews(self):
         rng = random.Random(7)

@@ -1,15 +1,23 @@
 import itertools
 
 import pytest
+from helpers import edge_twin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interviewplan.errors import ShapeMismatch, UnacceptableCandidate
 from interviewplan.generators import generate
+from interviewplan.interviews import (
+    _apply_unchecked,
+    apply_interviews,
+    interview_compatibility,
+    interview_cost,
+)
 from interviewplan.model import (
     Comparison,
     Instance,
     Relation,
+    StrictProfile,
     TieStructure,
     agent_tie_structure,
     compare,
@@ -22,6 +30,7 @@ from interviewplan.model import (
     validate_instance,
     woman,
 )
+from interviewplan.solvers import detect_structure
 
 
 def make_instance(n_men, n_women, layout):
@@ -293,3 +302,83 @@ class TestLinearExtensions:
                 exts, overflow = linear_extensions(inst, a, cap=10000)
                 assert not overflow
                 assert truth.ranking[a] in exts
+
+
+@st.composite
+def class_markets(draw):
+    """Up to 4 agents per side with random mutual acceptability.  Each agent
+    splits a random order of its candidates into classes at random cuts,
+    repeated cuts giving empty classes.  The truth shuffles inside each
+    class (consistent) or the whole list (possibly inconsistent); the
+    interview set is a random set of acceptable pairs."""
+    n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    men = [man(i) for i in range(1, n_men + 1)]
+    women = [woman(j) for j in range(1, n_women + 1)]
+    pairs = [(m, w) for m in men for w in women if draw(st.booleans())]
+    acceptable = {a: [] for a in men + women}
+    for m, w in pairs:
+        acceptable[m].append(w)
+        acceptable[w].append(m)
+    consistent = draw(st.booleans())
+    rels, ranking = {}, {}
+    for a, cands in acceptable.items():
+        order = draw(st.permutations(cands))
+        cuts = draw(st.lists(st.integers(0, len(order)), max_size=len(order) + 2))
+        bounds = [0] + sorted(cuts) + [len(order)]
+        classes = [order[i:j] for i, j in zip(bounds, bounds[1:])]
+        rels[a] = tie_relation(a, classes)
+        if consistent:
+            ranking[a] = tuple(c for cls in classes for c in draw(st.permutations(cls)))
+        else:
+            ranking[a] = tuple(draw(st.permutations(cands)))
+    interviews = frozenset(p for p in pairs if draw(st.booleans()))
+    return Instance(n_men, n_women, rels), StrictProfile(ranking), interviews
+
+
+def assert_same_relations(inst, twin):
+    """Every relation agrees with its twin on edges, equality, hash, tie
+    structure, and prefers/comparable over every ordered pair of candidates
+    (acceptable or not), also after dropping its first candidate."""
+    outside = [man(9), woman(9)]
+    for a in inst.agents():
+        rel, other = inst.relations[a], twin.relations[a]
+        keep = frozenset(sorted(rel.acceptable)[1:])
+        for x, y in ((rel, other), (rel.restricted(keep), other.restricted(keep))):
+            assert x.edges == y.edges
+            assert x == y and hash(x) == hash(y)
+            assert agent_tie_structure(x) == agent_tie_structure(y)
+            cands = sorted(x.acceptable) + outside
+            for c1 in cands:
+                for c2 in cands:
+                    assert x.prefers(c1, c2) == y.prefers(c1, c2), (a, c1, c2)
+                    assert x.comparable(c1, c2) == y.comparable(c1, c2), (a, c1, c2)
+
+
+class TestClassForm:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(class_markets())
+    def test_class_form_equals_edge_form(self, market):
+        inst, truth, interviews = market
+        twin = edge_twin(inst)
+        assert all(not r.classes for r in twin.relations.values())
+        assert_same_relations(inst, twin)
+        assert dict(detect_tie_structure(inst)) == dict(detect_tie_structure(twin))
+        assert detect_structure(inst) == detect_structure(twin)
+        assert inst.kind == twin.kind
+        assert truth.refines(inst) == truth.refines(twin)
+        # unchecked, so an inconsistent truth can contradict the classes
+        learned = _apply_unchecked(inst, truth, interviews)
+        assert_same_relations(learned, _apply_unchecked(twin, truth, interviews))
+        for a in inst.agents():
+            before, after = inst.relations[a], learned.relations[a]
+            assert (before == after) == (before.edges == after.edges)
+        if not truth.refines(inst):
+            return
+        refined = apply_interviews(inst, truth, interviews)
+        refined_twin = apply_interviews(twin, truth, interviews)
+        assert_same_relations(refined, refined_twin)
+        assert is_refinement(inst, refined) and is_refinement(twin, refined)
+        witness = interview_compatibility(twin, refined_twin)
+        for base, state in ((inst, refined), (inst, refined_twin), (twin, refined)):
+            assert interview_compatibility(base, state) == witness
+            assert interview_cost(base, state) == interview_cost(twin, refined_twin)

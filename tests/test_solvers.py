@@ -1,12 +1,13 @@
 import warnings
 
 import pytest
+from helpers import edge_twin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interviewplan.errors import SizeLimitExceeded
-from interviewplan.generators import SimpleGraph, generate, random_bounded_graph
-from interviewplan.model import Matching, man, woman
+from interviewplan.generators import FAMILIES, SimpleGraph, generate, random_bounded_graph
+from interviewplan.model import MAN, WOMAN, Relation, man, woman
 from interviewplan.oracles import brute_force_cover, oracle_plan_for_matching
 from interviewplan.solvers import (
     PlanStructure,
@@ -51,8 +52,20 @@ class TestMinVertexCover:
             assert len(min_vertex_cover(cycle)) == (length + 1) // 2
 
     def test_clique_needs_all_but_one(self):
-        for n in range(2, 7):
-            assert len(min_vertex_cover(complete_graph(n))) == n - 1
+        for n in range(2, 13):
+            assert min_vertex_cover(complete_graph(n)) == tuple(range(1, n))
+
+    def test_clique_beside_path(self):
+        # K_n on 1..n, then a path through the next `length` + 1 vertices
+        for n in range(2, 9):
+            for length in range(1, 5):
+                path = [(i, i + 1) for i in range(n + 1, n + length + 1)]
+                g = graph(n + length + 1, list(complete_graph(n).edges) + path)
+                cover = min_vertex_cover(g)
+                assert cover[:n - 1] == tuple(range(1, n))
+                assert len(cover) == n - 1 + (length + 1) // 2
+                if n + length + 1 <= 12:
+                    assert cover == tuple(brute_force_cover(g)), (n, length)
 
     def test_closed_forms_equal_branch_and_bound_per_component(self):
         graphs = [random_bounded_graph(n=4 + seed % 13, max_degree=3, seed=seed)
@@ -239,6 +252,57 @@ class TestBestPlan:
     def test_cap_enforced(self, fig1):
         with pytest.raises(SizeLimitExceeded):
             best_plan(fig1.instance, fig1.truth, size_cap=1)
+
+
+def family_market(family, n, seed):
+    tiers = (n // 2, n - n // 2) if family == "tiered" and n > 1 else None
+    return generate(family, n=n, seed=seed, tiers=tiers, density=0.7)
+
+
+def plan_view(plan):
+    """A plan's schedule, breakdown, structure and refined edge sets."""
+    return (plan.cost, plan.interviews, plan.breakdown, plan.structure,
+            {a: r.edges for a, r in plan.refined.relations.items()})
+
+
+class TestClassBuiltMarkets:
+    def test_plans_equal_on_edge_built_twin(self):
+        for family in FAMILIES:
+            for n in range(1, 13):
+                for seed in range(2):
+                    inst, truth = family_market(family, n, seed)
+                    twin = edge_twin(inst)
+                    for side in (MAN, WOMAN):
+                        mu = gale_shapley(truth, side)
+                        assert (plan_view(plan_for_matching(inst, truth, mu))
+                                == plan_view(plan_for_matching(twin, truth, mu))), \
+                            (family, n, seed, side)
+
+    def test_solve_path_never_reads_the_edge_view(self, monkeypatch):
+        from interviewplan.generators import cover_market_smt, cover_market_smti
+
+        def solve_all():
+            plans = []
+            for family in FAMILIES:
+                inst, truth = family_market(family, 8, 3)
+                for side in (MAN, WOMAN):
+                    plans.append(plan_for_matching(inst, truth, gale_shapley(truth, side)))
+                inst, truth = family_market(family, 5, 3)
+                plans.append(best_plan(inst, truth)[0])
+            for build in (cover_market_smti, cover_market_smt):
+                inst, truth, mu, _ = build(random_bounded_graph(10, 3, 1))
+                plans.append(plan_for_matching(inst, truth, mu))
+            return plans
+
+        expected = [plan_view(p) for p in solve_all()]
+
+        def unread(rel):
+            raise AssertionError(f"the edge view of {rel.owner} was read")
+
+        monkeypatch.setattr(Relation, "edges", property(unread))
+        plans = solve_all()
+        monkeypatch.undo()
+        assert [plan_view(p) for p in plans] == expected
 
 
 class TestNaiveCost:

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from helpers import spec_blocking_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +19,7 @@ from interviewplan.model import (
 )
 from interviewplan.stability import (
     Blocking,
-    BlockingPair,
     Stability,
-    _qualifies,
-    attitude,
     blocking_pairs,
     extension_agreement,
     gale_shapley,
@@ -93,19 +91,6 @@ def asymmetric_markets(draw):
             taken |= {m, w}
             matched.append((m, w))
     return instance, Matching(matched)
-
-
-def spec_blocking_pairs(instance, matching, level):
-    """Every acceptable unmatched pair, classified by attitude."""
-    out = []
-    for m, w in instance.acceptable_pairs():
-        if matching.partner(m) == w:
-            continue
-        man_att = attitude(instance, m, w, matching)
-        woman_att = attitude(instance, w, m, matching)
-        if _qualifies(level, man_att, woman_att):
-            out.append(BlockingPair(m, w, level, man_att, woman_att))
-    return tuple(out)
 
 
 class TestOneScan:
