@@ -6,12 +6,12 @@ An interview pairs one man with one woman and informs both.  After an agent
 has interviewed two or more candidates, the agent knows its true strict
 order over exactly those candidates; an agent who interviewed a single
 candidate learns nothing usable.  The refined knowledge state keeps the
-literal set of learned comparisons (no transitive closure).
+learned order, the met candidates ranked by the truth (no transitive
+closure); ``.edges`` still reads as its pairs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -60,7 +60,7 @@ def _apply_unchecked(instance: Instance, truth: StrictProfile,
         if len(cands) < 2:
             continue
         ordered = sorted(cands, key=lambda c: truth.rank(a, c))
-        rels[a] = rels[a].learn(itertools.combinations(ordered, 2))
+        rels[a] = rels[a].learn(ordered)
     return Instance(instance.n_men, instance.n_women, rels, base=False)
 
 

@@ -6,10 +6,12 @@ make.  A :class:`Relation` stores them as ordered indifference classes with
 a level per candidate, plus any explicit edges (preferred, other) beyond
 the classes; its full edge set is a view derived on each read.  A refined
 knowledge state produced by interviews keeps the base classes and adds the
-literal set of learned comparisons as explicit edges, NOT transitively
-closed: closing it could manufacture comparisons between candidates an
-agent never met.  Base instances, by contrast, are required to be genuine
-partial orders.
+learned order: the candidates the agent met, in true order, with a rank per
+candidate.  That order is closed over the candidates met and says nothing
+about anyone else, so nothing is inferred by transitivity through the base
+comparisons: closing the union could manufacture comparisons between
+candidates an agent never met.  Base instances, by contrast, are required
+to be genuine partial orders.
 
 Ordered indifference classes (ties) have one home here: :func:`tie_relation`
 builds a relation from classes without building edges,
@@ -71,6 +73,9 @@ def couple(a: Agent, b: Agent) -> Pair:
 
 _UNCLASSED = sys.maxsize
 _NO_LEVELS: Mapping[Agent, int] = MappingProxyType({})
+# the rank map of every relation that met no one, shared and never written; a
+# plain dict, unlike _NO_LEVELS, so that class-built relations still pickle
+_NO_RANKS: Mapping[Agent, int] = {}
 
 
 class Relation:
@@ -78,26 +83,32 @@ class Relation:
 
     A comparison ``(c1, c2)`` means the owner strictly prefers ``c1`` to
     ``c2``; with neither direction present the owner cannot compare the two.
-    The comparisons are stored in two parts:
+    The comparisons are stored in three parts:
 
     - ``classes``: ordered indifference classes, best first, with ``level``
       mapping each of their candidates to its class index.  Every candidate
       beats everyone in a later class; a class is tied inside.
-    - ``extra``: explicit comparisons beyond the classes.
+    - ``met``: the learned order, the candidates the agent ranked by
+      interview as one tuple in true order, best first, with ``rank``
+      mapping each of them to its position.  Every met candidate beats
+      every later one.
+    - ``extra``: explicit comparisons beyond the classes and the met order.
 
     ``Relation(owner, acceptable, edges)`` stores explicit edges and no
     classes.  :func:`tie_relation` stores classes and no edges, and
-    :meth:`learn` adds comparisons to ``extra`` while sharing the classes.
+    :meth:`learn` stores a met order while sharing the classes and
+    ``extra``.
 
     ``edges``, the set of all comparisons, is derived on every read: it
-    costs O(d²) for a class-built relation over d candidates, so a reader
-    that loops over it binds it once.  :meth:`prefers` and
-    :meth:`comparable` answer from the class levels in O(1).  Equality and
-    hashing are over ``(owner, acceptable, edges)``, so a class-built
-    relation equals its edge-built twin.  Relations are immutable values.
+    costs O(d²) for a class-built or learned relation over d candidates, so
+    a reader that loops over it binds it once.  :meth:`prefers` and
+    :meth:`comparable` answer from the class levels and met ranks in O(1).
+    Equality and hashing are over ``(owner, acceptable, edges)``, so a
+    class-built or learned relation equals its edge-built twin.  Relations
+    are immutable values.
     """
 
-    __slots__ = ("owner", "acceptable", "classes", "level", "extra")
+    __slots__ = ("owner", "acceptable", "classes", "level", "extra", "met", "rank")
 
     def __init__(self, owner: Agent, acceptable: frozenset[Agent], edges: frozenset[Pair]):
         self.owner = owner
@@ -105,29 +116,40 @@ class Relation:
         self.classes: tuple[frozenset[Agent], ...] = ()
         self.level = _NO_LEVELS
         self.extra = edges
+        self.met: tuple[Agent, ...] = ()
+        self.rank = _NO_RANKS
 
     @classmethod
     def _of(cls, owner: Agent, acceptable: frozenset[Agent],
             classes: tuple[frozenset[Agent], ...], level: Mapping[Agent, int],
-            extra: frozenset[Pair]) -> Relation:
+            extra: frozenset[Pair], met: tuple[Agent, ...] = ()) -> Relation:
         rel = cls.__new__(cls)
         rel.owner, rel.acceptable, rel.extra = owner, acceptable, extra
         rel.classes, rel.level = classes, level
+        rel.met = met
+        rel.rank = {c: i for i, c in enumerate(met)} if met else _NO_RANKS
         return rel
 
     @property
     def edges(self) -> frozenset[Pair]:
-        """Every comparison: the class-implied pairs plus ``extra``, built on
-        each read."""
-        if not self.classes:
-            return self.extra
-        return TieStructure(self.classes).as_edges() | self.extra
+        """Every comparison: the class-implied pairs, ``extra`` and the pairs
+        of the met order, built on each read."""
+        edges = self.extra
+        if self.classes:
+            edges = TieStructure(self.classes).as_edges() | edges
+        if self.met:
+            edges = edges.union(itertools.combinations(self.met, 2))
+        return edges
 
     def prefers(self, c1: Agent, c2: Agent) -> bool:
         # an unclassed c1 reads as worse than every level and an unclassed c2
-        # as better, so the level test holds only between classed candidates
+        # as better, so the level test holds only between classed candidates;
+        # the met ranks are read the same way
         level = self.level
         if level and level.get(c1, _UNCLASSED) < level.get(c2, -1):
+            return True
+        rank = self.rank
+        if rank and rank.get(c1, _UNCLASSED) < rank.get(c2, -1):
             return True
         extra = self.extra
         return bool(extra) and (c1, c2) in extra
@@ -135,22 +157,34 @@ class Relation:
     def comparable(self, c1: Agent, c2: Agent) -> bool:
         return self.prefers(c1, c2) or self.prefers(c2, c1)
 
-    def learn(self, pairs: Iterable[Pair]) -> Relation:
-        """This relation with the given comparisons added to ``extra``."""
+    def learn(self, ordered: Sequence[Agent]) -> Relation:
+        """This relation after meeting the candidates in ``ordered``, given
+        best first: each of them is now preferred to every later one.
+
+        A relation that already holds a met order keeps both orders as
+        literal pairs in ``extra`` and holds no met order afterwards."""
+        met = tuple(ordered)
+        if self.met:
+            extra = self.extra.union(itertools.combinations(self.met, 2),
+                                     itertools.combinations(met, 2))
+            return Relation._of(self.owner, self.acceptable, self.classes, self.level, extra)
         return Relation._of(self.owner, self.acceptable, self.classes, self.level,
-                            self.extra.union(pairs))
+                            self.extra, met)
 
     def restricted(self, keep: frozenset[Agent]) -> Relation:
         """This relation over the candidates in ``keep`` only."""
         extra = frozenset((c1, c2) for c1, c2 in self.extra if c1 in keep and c2 in keep)
         ties = tie_relation(self.owner, (cls & keep for cls in self.classes))
-        return Relation._of(self.owner, keep, ties.classes, ties.level, extra)
+        met = tuple(c for c in self.met if c in keep)
+        return Relation._of(self.owner, keep, ties.classes, ties.level, extra, met)
 
     def gains_over(self, base: Relation) -> frozenset[Pair]:
         """The comparisons of this relation that ``base`` lacks."""
         if self.classes == base.classes:
-            # the class-implied comparisons are shared; only extra can differ
-            return frozenset(p for p in self.extra if not base.prefers(*p))
+            # the class-implied comparisons are shared; only extra and the
+            # met order can differ
+            learned = itertools.chain(self.extra, itertools.combinations(self.met, 2))
+            return frozenset(p for p in learned if not base.prefers(*p))
         return self.edges - base.edges
 
     def __eq__(self, other):
@@ -285,6 +319,11 @@ class StrictProfile:
     def rank(self, a: Agent, c: Agent) -> int:
         return self._rank[a][c]
 
+    def ranks(self, a: Agent) -> Mapping[Agent, int]:
+        """Read-only map from each candidate ``a`` ranks to its position, best
+        first from 0; empty for an agent the profile does not rank."""
+        return MappingProxyType(self._rank.get(a, _NO_LEVELS))
+
     def prefers(self, a: Agent, c1: Agent, c2: Agent) -> bool:
         ranks = self._rank[a]
         return ranks[c1] < ranks[c2]
@@ -308,6 +347,9 @@ class StrictProfile:
                 for c1, c2 in rel.extra:
                     if ranks[c1] > ranks[c2]:
                         return False
+                met = rel.met
+                if met and any(ranks[c1] > ranks[c2] for c1, c2 in zip(met, met[1:])):
+                    return False
             except KeyError:  # an edge leaves the acceptable set
                 return False
         return True
@@ -404,12 +446,23 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
+def _sound_by_construction(rel: Relation) -> bool:
+    """True for a relation made of disjoint classes of acceptable candidates
+    and nothing else: its comparisons are the level order, which is
+    irreflexive, asymmetric and transitive, so its edges need no check."""
+    return (not rel.extra and not rel.met
+            and sum(map(len, rel.classes)) == len(rel.level)
+            and rel.level.keys() <= rel.acceptable)
+
+
 def validate_instance(instance: Instance) -> ValidationReport:
     """Report every violated structural invariant; an empty report means valid.
 
     Checks index ranges, mutual acceptability, irreflexivity, asymmetry,
     edge endpoints lying inside the acceptability set, and (for base
-    instances) transitivity of each relation.
+    instances) transitivity of each relation.  A relation sound by
+    construction (disjoint classes of acceptable candidates, nothing else)
+    skips the edge checks, so it costs O(d) rather than O(d³).
     """
     out: list[Violation] = []
     men_set = set(instance.men())
@@ -433,6 +486,8 @@ def validate_instance(instance: Instance) -> ValidationReport:
             elif a not in instance.relations[c].acceptable:
                 out.append(Violation("one_sided_acceptability", a,
                                      f"{a} accepts {c} but not vice versa"))
+        if _sound_by_construction(rel):
+            continue
         edges = rel.edges
         for c1, c2 in sorted(edges):
             if c1 == c2:
@@ -503,13 +558,13 @@ def agent_tie_structure(rel: Relation) -> Optional[TieStructure]:
     """The relation's indifference classes, best first, or None if it is not
     shaped as ordered ties.
 
-    A class-built relation without extra comparisons returns its stored
-    classes.  Otherwise only edges between acceptable candidates count: a
-    candidate's in-degree is the size of the better classes, so grouping by
-    it gives the only possible classes; they stand when their ``as_edges()``
-    equals those edges.
+    A class-built relation without extra comparisons or a met order returns
+    its stored classes.  Otherwise only edges between acceptable candidates
+    count: a candidate's in-degree is the size of the better classes, so
+    grouping by it gives the only possible classes; they stand when their
+    ``as_edges()`` equals those edges.
     """
-    if not rel.extra and len(rel.level) == len(rel.acceptable):
+    if not rel.extra and not rel.met and len(rel.level) == len(rel.acceptable):
         return TieStructure(rel.classes)
     indegree = dict.fromkeys(rel.acceptable, 0)
     inside = frozenset((hi, lo) for hi, lo in rel.edges
@@ -555,34 +610,48 @@ def linear_extensions(instance: Instance, a: Agent,
 
     Emits in lexicographic order (by candidate sort order at each position)
     and stops once ``cap`` orders have been produced, returning an overflow
-    flag instead of raising.
+    flag instead of raising.  The search keeps its own stack of chosen
+    positions, so its depth is not bounded by the interpreter's recursion
+    limit.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     rel = instance.relations[a]
     items = sorted(rel.acceptable)
-    pending = {c: {d for d in items if rel.prefers(d, c)} for c in items}
+    n = len(items)
+    # below[j]: the positions of the candidates items[j] is preferred to;
+    # waiting[i]: how many unplaced candidates are preferred to items[i]
+    below = [[i for i, c in enumerate(items) if rel.prefers(d, c)] for d in items]
+    waiting = [0] * n
+    for worse in below:
+        for i in worse:
+            waiting[i] += 1
+    placed = [False] * n
+    chosen: list[int] = []
     out: list[tuple[Agent, ...]] = []
     overflow = False
-    prefix: list[Agent] = []
-
-    def walk() -> bool:
-        nonlocal overflow
-        if len(prefix) == len(items):
+    start = 0  # the first position the current depth may still try
+    while True:
+        if len(chosen) == n:
             if len(out) == cap:
                 overflow = True
-                return False
-            out.append(tuple(prefix))
-            return True
-        for c in items:
-            if c in prefix or pending[c] - set(prefix):
-                continue
-            prefix.append(c)
-            ok = walk()
-            prefix.pop()
-            if not ok:
-                return False
-        return True
-
-    walk()
+                break
+            out.append(tuple(items[i] for i in chosen))
+            nxt = n
+        else:
+            nxt = next((i for i in range(start, n) if not placed[i] and not waiting[i]), n)
+        if nxt < n:
+            placed[nxt] = True
+            for i in below[nxt]:
+                waiting[i] -= 1
+            chosen.append(nxt)
+            start = 0
+            continue
+        if not chosen:
+            break
+        last = chosen.pop()
+        placed[last] = False
+        for i in below[last]:
+            waiting[i] += 1
+        start = last + 1
     return out, overflow

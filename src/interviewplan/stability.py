@@ -172,7 +172,7 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
         while next_choice[p] < len(prefs):
             c = prefs[next_choice[p]]
             next_choice[p] += 1
-            if p not in truth._rank.get(c, {}):
+            if p not in truth.ranks(c):
                 continue
             holder = engaged.get(c)
             if holder is None:
@@ -189,13 +189,13 @@ def weakly_stable_under(truth: StrictProfile, matching: Matching) -> bool:
     """No pair of mutually acceptable agents both truly prefer each other
     to their situation under the matching."""
     for m in sorted(a for a in truth.ranking if a.side == MAN):
-        ranks_m = truth._rank[m]
+        ranks_m = truth.ranks(m)
         pm = matching.partner(m)
         limit = ranks_m[pm] if pm is not None else len(ranks_m)
         for w in truth.ranking[m]:
             if ranks_m[w] >= limit:
                 break
-            ranks_w = truth._rank.get(w, {})
+            ranks_w = truth.ranks(w)
             if m not in ranks_w:
                 continue
             pw = matching.partner(w)

@@ -18,6 +18,7 @@ from interviewplan.generators import (
     random_bounded_graph,
 )
 from interviewplan.interviews import (
+    _apply_unchecked,
     apply_interviews,
     interview_compatibility,
     interview_cost,
@@ -83,6 +84,36 @@ class TestApply:
         with pytest.raises(UnacceptablePair):
             apply_interviews(tri.instance, tri.truth,
                              interview_set([(man(1), woman(3))]))
+
+    def test_learned_order_is_stored_as_met(self):
+        # two thirds of a tiered market's acceptable pairs interview: each
+        # learner keeps the base's classes and extra and stores the truth's
+        # order over the candidates it met; everyone else is unchanged
+        inst, truth = generate("tiered", n=6, seed=1, tiers=(3, 3), density=0.7)
+        pairs = inst.acceptable_pairs()
+        chosen = frozenset(random.Random(1).sample(pairs, 2 * len(pairs) // 3))
+        refined = _apply_unchecked(inst, truth, chosen)
+        learners = 0
+        for a in inst.agents():
+            base, rel = inst.relations[a], refined.relations[a]
+            met = {c for pair in chosen if a in pair for c in pair if c != a}
+            if len(met) < 2:
+                assert rel is base
+                continue
+            learners += 1
+            assert rel.extra is base.extra and rel.classes is base.classes
+            assert rel.met == tuple(c for c in truth.ranking[a] if c in met)
+            assert rel.rank == {c: i for i, c in enumerate(rel.met)}
+        assert learners
+
+    def test_second_learn_keeps_both_orders_as_pairs(self):
+        rel = incomparable_1x3().relations[man(1)]
+        once = rel.learn((W[2], W[1]))
+        twice = once.learn((W[3], W[2]))
+        assert once.met == (W[2], W[1]) and not once.extra
+        assert twice.met == () and twice.extra == {(W[2], W[1]), (W[3], W[2])}
+        assert twice.edges == {(W[2], W[1]), (W[3], W[2])}
+        assert not twice.prefers(W[3], W[1])
 
     def test_result_not_flagged_base(self, fig1):
         T = interview_set([(man(2), woman(1)), (man(2), woman(2))])

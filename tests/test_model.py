@@ -5,8 +5,10 @@ from helpers import edge_twin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interviewplan.errors import ShapeMismatch, UnacceptableCandidate
-from interviewplan.generators import generate
+from interviewplan import fixtures
+from interviewplan.errors import InterviewPlanError, ShapeMismatch, UnacceptableCandidate
+from interviewplan.formats import format_instance, parse_instance
+from interviewplan.generators import FAMILIES, generate
 from interviewplan.interviews import (
     _apply_unchecked,
     apply_interviews,
@@ -14,11 +16,14 @@ from interviewplan.interviews import (
     interview_cost,
 )
 from interviewplan.model import (
+    MAN,
     Comparison,
     Instance,
     Relation,
     StrictProfile,
     TieStructure,
+    Violation,
+    ValidationReport,
     agent_tie_structure,
     compare,
     detect_tie_structure,
@@ -31,6 +36,9 @@ from interviewplan.model import (
     woman,
 )
 from interviewplan.solvers import detect_structure
+
+
+CANDIDATES = [woman(j) for j in range(1, 7)]
 
 
 def make_instance(n_men, n_women, layout):
@@ -90,6 +98,136 @@ class TestValidation:
         assert any(v.kind == "reflexive_edge" for v in report.violations)
 
 
+def full_validate(instance):
+    """Reference for :func:`validate_instance`: every relation's whole edge
+    view goes through the pairwise checks, with no shortcut for relations
+    sound by construction."""
+    out = []
+    men_set = set(instance.men())
+    women_set = set(instance.women())
+    known = men_set | women_set
+
+    for a in sorted(instance.relations):
+        if a not in known:
+            out.append(Violation("unknown_agent", a, "index outside declared counts"))
+        elif instance.relations[a].owner != a:
+            out.append(Violation("owner_mismatch", a,
+                                 f"relation owned by {instance.relations[a].owner}"))
+
+    for a in sorted(known):
+        rel = instance.relations[a]
+        other = women_set if a.side == MAN else men_set
+        for c in sorted(rel.acceptable):
+            if c not in other:
+                out.append(Violation("bad_candidate", a,
+                                     f"{c} is not an agent on the opposite side"))
+            elif a not in instance.relations[c].acceptable:
+                out.append(Violation("one_sided_acceptability", a,
+                                     f"{a} accepts {c} but not vice versa"))
+        edges = rel.edges
+        for c1, c2 in sorted(edges):
+            if c1 == c2:
+                out.append(Violation("reflexive_edge", a, f"({c1}, {c2})"))
+            if (c2, c1) in edges and c1 < c2:
+                out.append(Violation("asymmetry", a,
+                                     f"both ({c1}, {c2}) and ({c2}, {c1}) present"))
+            if c1 not in rel.acceptable or c2 not in rel.acceptable:
+                out.append(Violation("edge_outside_acceptable", a, f"({c1}, {c2})"))
+        if instance.base:
+            for c1, c2 in sorted(edges):
+                for c3 in sorted(rel.acceptable):
+                    if (c2, c3) in edges and (c1, c3) not in edges and c1 != c3:
+                        out.append(Violation(
+                            "not_transitive", a,
+                            f"({c1}, {c2}) and ({c2}, {c3}) without ({c1}, {c3})"))
+    return ValidationReport(tuple(out))
+
+
+def classed(owner, acceptable, classes, extra=()):
+    """A relation over ``acceptable`` holding the given classes as stored,
+    repeated candidates and candidates outside ``acceptable`` included, plus
+    ``extra`` edges."""
+    kept = tuple(frozenset(cls) for cls in classes if cls)
+    level = {c: i for i, cls in enumerate(kept) for c in cls}
+    return Relation._of(owner, frozenset(acceptable), kept, level, frozenset(extra))
+
+
+def one_man_market(rel, base=True):
+    """``rel`` as man 1's relation beside three women who accept him."""
+    return Instance(1, 3, {rel.owner: rel, **{w: relation(w, [man(1)]) for w in CANDIDATES[:3]}},
+                    base=base)
+
+
+class TestValidationShortcut:
+    """:func:`validate_instance` skips the edge checks for relations made of
+    disjoint classes of acceptable candidates only; its report must equal
+    the full pairwise check's on every instance."""
+
+    def test_generated_families(self):
+        for family in FAMILIES:
+            for n in (1, 4, 9, 25):
+                inst, truth = generate(family, n=n, seed=n, density=0.7)
+                states = [inst, edge_twin(inst)]
+                pairs = inst.acceptable_pairs()
+                learned = _apply_unchecked(inst, truth, frozenset(pairs[::2]))
+                states += [learned, Instance(n, n, learned.relations, base=True)]
+                for state in states:
+                    assert validate_instance(state) == full_validate(state), (family, n)
+
+    def test_parsed_files(self):
+        texts = [fixtures._read(f"{name}.instance") for name in fixtures.FIXTURE_NAMES]
+        for family in FAMILIES:
+            inst, _ = generate(family, n=6, seed=2, density=0.6)
+            texts += [format_instance(inst), format_instance(inst, "smpi")]
+        for text in texts:
+            for base in (True, False):
+                inst = parse_instance(text, base=base)
+                assert validate_instance(inst) == full_validate(inst)
+
+    @pytest.mark.parametrize("rel", [
+        # reflexive: a class pair plus a reflexive extra edge
+        classed(man(1), CANDIDATES[:3], [CANDIDATES[:1], CANDIDATES[1:3]],
+                [(woman(2), woman(2))]),
+        # symmetric: extra reverses a class pair
+        classed(man(1), CANDIDATES[:3], [CANDIDATES[:1], CANDIDATES[1:3]],
+                [(woman(3), woman(1))]),
+        # a classed candidate outside the acceptable set
+        classed(man(1), CANDIDATES[:2], [CANDIDATES[:1], CANDIDATES[1:3]]),
+        # an extra edge leaving the acceptable set
+        classed(man(1), CANDIDATES[:3], [CANDIDATES[:3]], [(woman(1), woman(5))]),
+        # non-transitive, edge-built
+        relation(man(1), CANDIDATES[:3], [(woman(1), woman(2)), (woman(2), woman(3))]),
+        # non-transitive, classes mixed with extra
+        classed(man(1), CANDIDATES[:3], [CANDIDATES[:1], CANDIDATES[1:2]],
+                [(woman(2), woman(3))]),
+        # one candidate in two classes
+        classed(man(1), CANDIDATES[:3], [CANDIDATES[:2], CANDIDATES[1:3]]),
+    ])
+    def test_invalid_relations(self, rel):
+        inst = one_man_market(rel)
+        report = validate_instance(inst)
+        assert not report.ok
+        assert report == full_validate(inst)
+        refined = one_man_market(rel, base=False)
+        assert validate_instance(refined) == full_validate(refined)
+
+    def test_classes_with_consistent_extra(self):
+        rel = classed(man(1), CANDIDATES[:3], [CANDIDATES[:1], CANDIDATES[1:3]],
+                      [(woman(1), woman(2))])
+        inst = one_man_market(rel)
+        assert validate_instance(inst).ok and full_validate(inst).ok
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(CANDIDATES[:5]), max_size=3), max_size=4),
+           st.sets(st.sampled_from(CANDIDATES[:5]), max_size=5),
+           st.sets(st.tuples(st.sampled_from(CANDIDATES[:5]), st.sampled_from(CANDIDATES[:5])),
+                   max_size=3),
+           st.booleans())
+    def test_equals_full_check(self, classes, acceptable, extra, base):
+        inst = one_man_market(classed(man(1), acceptable, classes, extra), base)
+        assert validate_instance(inst) == full_validate(inst)
+
+
 class TestCompare:
     def test_initially_incomparable(self, fig1):
         assert compare(fig1.instance, man(1), woman(1), woman(2)) == Comparison.INCOMPARABLE
@@ -131,6 +269,18 @@ class TestCompare:
                     assert r21 == flipped[r12]
 
 
+class TestStrictProfile:
+    def test_ranks_is_a_read_only_rank_map(self, fig1):
+        truth = fig1.truth
+        for a, seq in truth.ranking.items():
+            ranks = truth.ranks(a)
+            assert dict(ranks) == {c: truth.rank(a, c) for c in seq}
+            assert list(ranks) == list(seq)
+            with pytest.raises(TypeError):
+                ranks[seq[0]] = len(seq)
+        assert not truth.ranks(man(99))
+
+
 class TestRefinement:
     def test_reflexive(self, fig1):
         assert is_refinement(fig1.instance, fig1.instance)
@@ -158,9 +308,6 @@ class TestRefinement:
         inst, truth = generate("random_smti", n=3, seed=5, tie_cap=3)
         full = truth.as_instance()
         assert is_refinement(inst, full)
-
-
-CANDIDATES = [woman(j) for j in range(1, 7)]
 
 
 def ordered_partitions(items):
@@ -303,14 +450,67 @@ class TestLinearExtensions:
                 assert not overflow
                 assert truth.ranking[a] in exts
 
+    def test_deep_tie_class_within_cap(self):
+        # one agent with 1,500 tied candidates: deeper than the default
+        # recursion limit
+        women = [woman(j) for j in range(1, 1501)]
+        inst = Instance(1, 1500, {man(1): tie_relation(man(1), [women])})
+        exts, overflow = linear_extensions(inst, man(1), cap=1)
+        assert exts == [tuple(women)] and overflow
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.sets(st.sampled_from(CANDIDATES[:5])),
+           st.sets(st.tuples(st.sampled_from(CANDIDATES[:5]), st.sampled_from(CANDIDATES[:5])),
+                   max_size=6),
+           st.integers(1, 130))
+    def test_equals_recursive_search(self, acceptable, edges, cap):
+        # any edge set, cycles, reflexive edges and edges leaving the
+        # acceptable set included
+        inst = Instance(1, 6, {man(1): relation(man(1), acceptable, edges)})
+        assert linear_extensions(inst, man(1), cap) == recursive_linear_extensions(
+            inst, man(1), cap)
+
+
+def recursive_linear_extensions(instance, a, cap=10000):
+    """Reference for :func:`linear_extensions`: the depth-first search as a
+    recursive walk over the candidates in sort order."""
+    rel = instance.relations[a]
+    items = sorted(rel.acceptable)
+    pending = {c: {d for d in items if rel.prefers(d, c)} for c in items}
+    out = []
+    overflow = False
+    prefix = []
+
+    def walk():
+        nonlocal overflow
+        if len(prefix) == len(items):
+            if len(out) == cap:
+                overflow = True
+                return False
+            out.append(tuple(prefix))
+            return True
+        for c in items:
+            if c in prefix or pending[c] - set(prefix):
+                continue
+            prefix.append(c)
+            ok = walk()
+            prefix.pop()
+            if not ok:
+                return False
+        return True
+
+    walk()
+    return out, overflow
+
 
 @st.composite
 def class_markets(draw):
     """Up to 4 agents per side with random mutual acceptability.  Each agent
     splits a random order of its candidates into classes at random cuts,
     repeated cuts giving empty classes.  The truth shuffles inside each
-    class (consistent) or the whole list (possibly inconsistent); the
-    interview set is a random set of acceptable pairs."""
+    class (consistent) or the whole list (possibly inconsistent); the two
+    interview sets, applied one after the other, are random sets of
+    acceptable pairs."""
     n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     men = [man(i) for i in range(1, n_men + 1)]
     women = [woman(j) for j in range(1, n_women + 1)]
@@ -332,7 +532,8 @@ def class_markets(draw):
         else:
             ranking[a] = tuple(draw(st.permutations(cands)))
     interviews = frozenset(p for p in pairs if draw(st.booleans()))
-    return Instance(n_men, n_women, rels), StrictProfile(ranking), interviews
+    again = frozenset(p for p in pairs if draw(st.booleans()))
+    return Instance(n_men, n_women, rels), StrictProfile(ranking), interviews, again
 
 
 def assert_same_relations(inst, twin):
@@ -354,11 +555,39 @@ def assert_same_relations(inst, twin):
                     assert x.comparable(c1, c2) == y.comparable(c1, c2), (a, c1, c2)
 
 
+def outcome(call):
+    """A call's result, or the type of the package error it raised."""
+    try:
+        return call()
+    except InterviewPlanError as exc:
+        return type(exc)
+
+
+def assert_same_learned(bases, state, truth):
+    """A learned state agrees with its edge-built twin on every relation
+    query, on ``refines`` by the truth and by the reversed truth, on
+    ``gains_over`` in both directions against each base, and on
+    ``is_refinement`` and ``interview_cost`` over each base."""
+    twin = edge_twin(state)
+    assert_same_relations(state, twin)
+    reversed_truth = StrictProfile({a: seq[::-1] for a, seq in truth.ranking.items()})
+    for profile in (truth, reversed_truth):
+        assert profile.refines(state) == profile.refines(twin)
+    for base in bases:
+        for a in base.agents():
+            rel, other, old = state.relations[a], twin.relations[a], base.relations[a]
+            assert rel.gains_over(old) == other.gains_over(old)
+            assert old.gains_over(rel) == old.gains_over(other)
+        assert is_refinement(base, state) == is_refinement(base, twin)
+        assert (outcome(lambda: interview_cost(base, state))
+                == outcome(lambda: interview_cost(base, twin)))
+
+
 class TestClassForm:
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(class_markets())
     def test_class_form_equals_edge_form(self, market):
-        inst, truth, interviews = market
+        inst, truth, interviews, again = market
         twin = edge_twin(inst)
         assert all(not r.classes for r in twin.relations.values())
         assert_same_relations(inst, twin)
@@ -372,6 +601,11 @@ class TestClassForm:
         for a in inst.agents():
             before, after = inst.relations[a], learned.relations[a]
             assert (before == after) == (before.edges == after.edges)
+        # a second round of interviews on the learned state
+        relearned = _apply_unchecked(learned, truth, again)
+        assert_same_relations(relearned, _apply_unchecked(edge_twin(learned), truth, again))
+        for state in (learned, relearned):
+            assert_same_learned((inst, twin, learned), state, truth)
         if not truth.refines(inst):
             return
         refined = apply_interviews(inst, truth, interviews)

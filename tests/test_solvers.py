@@ -305,6 +305,18 @@ class TestClassBuiltMarkets:
         assert [plan_view(p) for p in plans] == expected
 
 
+class TestDenseMarkets:
+    def test_tiered_every_pair_interviews(self):
+        # one tier of 200 per side: every one of the 40,000 acceptable pairs
+        # is in the schedule, and the refined state ranks each agent's whole
+        # list
+        inst, truth = generate("tiered", n=200, seed=0)
+        plan = plan_for_matching(inst, truth, gale_shapley(truth, MAN))
+        assert plan.cost == 40000
+        assert plan.interviews == frozenset(inst.acceptable_pairs())
+        assert all(plan.refined.relations[a].met == truth.ranking[a] for a in inst.agents())
+
+
 class TestNaiveCost:
     def test_complete_market(self, fig1, mt3):
         assert naive_cost(fig1.instance) == 4
