@@ -332,10 +332,12 @@ class StrictProfile:
         """True when every agent ranks exactly its acceptable set and every
         instance comparison is between ranked candidates and respected."""
         for a, rel in instance.relations.items():
-            seq = self.ranking.get(a, ())
-            if set(seq) != set(rel.acceptable) or len(seq) != len(rel.acceptable):
+            ranks = self._rank.get(a, _NO_LEVELS)
+            # a ranking as long as the acceptable set that ranks all of it
+            # ranks nothing else and nothing twice
+            if not (len(self.ranking.get(a, ())) == len(rel.acceptable)
+                    and ranks.keys() >= rel.acceptable):
                 return False
-            ranks = self._rank.get(a, {})
             try:
                 worst = -1
                 for cls in rel.classes:

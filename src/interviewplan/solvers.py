@@ -4,21 +4,26 @@ The optimal schedule that makes a target matching super-stable decomposes
 into three disjoint parts: every potential blocker pair interviews, every
 mandated matched pair interviews, and a minimum vertex cover of the
 matched-pair graph chooses which remaining pairs interview.  The cover step
-carries all the hardness; structured markets keep it trivial (empty graph,
-paths and cycles, or disjoint cliques), and a branch-and-bound solver makes
-the general case exact as well.
+carries all the hardness.  Structured markets keep it trivial (an empty
+graph, paths and cycles, or disjoint cliques).  In general one exact size
+search per component guides a greedy walk to the lexicographically least
+minimum cover.  The search works on bitmask vertex sets: reductions from a
+worklist (degree 0, degree 1, degree 2 in a triangle), a split into
+components, closed forms for paths, cycles and cliques, and branching on a
+vertex of highest degree, with every size memoized for the length of the
+walk.  It runs from an explicit stack and gives up with
+``SizeLimitExceeded`` after ``COVER_NODE_BUDGET`` search nodes.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Generator, Sequence
 
 from .blockers import BlockerReport, analyze_blockers, cover_graph
-from .errors import InternalAssumptionViolated
+from .errors import InternalAssumptionViolated, SizeLimitExceeded
 from .interviews import apply_interviews
 from .model import (
     Instance,
@@ -30,6 +35,8 @@ from .model import (
 from .stability import Stability, is_stable, stable_matchings
 
 FALLBACK_PAIR_CAP = 20
+# search nodes one min_vertex_cover call may expand before it gives up
+COVER_NODE_BUDGET = 250_000
 
 
 class PlanStructure(Enum):
@@ -108,132 +115,189 @@ def _components(edges: Sequence[tuple]) -> list[tuple[list, list]]:
     return [(sorted(c), sorted(es)) for c, es in zip(comps, comp_edges)]
 
 
-def _matching_lower_bound(edges: Iterable[tuple]) -> int:
-    used: set = set()
-    size = 0
-    for u, v in edges:
-        if u not in used and v not in used:
-            used.add(u)
-            used.add(v)
-            size += 1
-    return size
-
-
-def _bb_cover_size(vertices: Sequence, edges: Sequence[tuple]) -> int:
-    """Exact minimum cover size by branch and bound with degree-0 removal,
-    degree-1 forcing, and a greedy-matching lower bound."""
-    best = len(vertices)
-
-    def solve(adj: dict, picked: int) -> None:
-        nonlocal best
-        adj = {v: set(ns) for v, ns in adj.items() if ns}
-        # force neighbors of pendant vertices into the cover
-        changed = True
-        while changed:
-            changed = False
-            for v, ns in list(adj.items()):
-                if v in adj and len(adj.get(v, ())) == 1:
-                    (u,) = adj[v]
-                    picked += 1
-                    for x in adj.pop(u, ()):
-                        adj[x].discard(u)
-                        if not adj[x]:
-                            del adj[x]
-                    adj.pop(v, None)
-                    changed = True
-                    break
-        if not adj:
-            best = min(best, picked)
-            return
-        remaining_edges = [(u, v) for u in adj for v in adj[u] if u < v]
-        if picked + _matching_lower_bound(remaining_edges) >= best:
-            return
-        u = max(adj, key=lambda v: (len(adj[v]), v))
-        # branch 1: take u
-        adj1 = {v: set(ns) for v, ns in adj.items()}
-        for x in adj1.pop(u):
-            adj1[x].discard(u)
-        solve(adj1, picked + 1)
-        # branch 2: exclude u, so take all of its neighbors
-        ns = set(adj[u])
-        adj2 = {v: set(xs) for v, xs in adj.items()}
-        for x in ns:
-            for y in adj2.pop(x, ()):
-                if y in adj2:
-                    adj2[y].discard(x)
-        adj2.pop(u, None)
-        solve(adj2, picked + len(ns))
-
-    adj0: dict = {v: set() for v in vertices}
-    for u, v in edges:
-        adj0[u].add(v)
-        adj0[v].add(u)
-    solve(adj0, 0)
-    return best
-
-
 def _is_clique(vertices: Sequence, edges: Sequence[tuple]) -> bool:
     n = len(vertices)
     return n >= 2 and len(edges) == n * (n - 1) // 2
 
 
-def _cover_size(edges: Sequence[tuple]) -> int:
-    """Minimum vertex cover size, summed over the connected components.
+class _CoverSearch:
+    """Exact minimum vertex cover sizes of the subgraphs one component's
+    vertex sets induce.
 
-    Components in which every vertex has degree at most two are paths or
-    cycles and need ``ceil(edges / 2)``; clique components need all
-    vertices but one; anything else goes to branch and bound.
+    ``load`` indexes a component's vertices in sorted order: ``adj[i]`` is
+    the bitmask of vertex ``i``'s neighbours, and a vertex set is an int
+    bitmask.  ``size(s)`` is the minimum cover size of the subgraph ``s``
+    induces, memoized by ``s`` until the next ``load``.  A query first
+    applies the reductions: drop degree-0 vertices, and take the
+    neighbours of a degree-1 vertex or of a degree-2 vertex in a triangle,
+    as some minimum cover does.  It then splits what is left into
+    components.  A component whose degrees are all at most two needs
+    ``ceil(edges / 2)``, a clique all its vertices but one; otherwise the
+    search branches on a vertex ``v`` of highest degree: take ``v``, or
+    take its neighbours.  Each search node is a generator that yields the
+    vertex sets it needs the sizes of, driven from an explicit stack, so a
+    deep search never recurses.  Every node expanded since construction
+    counts against ``COVER_NODE_BUDGET``.
     """
-    total = 0
-    for comp_vertices, comp_edges in _components(edges):
-        degs = {v: 0 for v in comp_vertices}
-        for u, v in comp_edges:
-            degs[u] += 1
-            degs[v] += 1
-        if all(d <= 2 for d in degs.values()):
-            total += math.ceil(len(comp_edges) / 2)
-        elif _is_clique(comp_vertices, comp_edges):
-            total += len(comp_vertices) - 1
-        else:
-            total += _bb_cover_size(comp_vertices, comp_edges)
-    return total
+
+    def __init__(self):
+        self.nodes_left = COVER_NODE_BUDGET
+        self.adj: list[int] = []
+        self.memo: dict[int, int] = {}
+
+    def load(self, vertices: Sequence, edges: Sequence[tuple]) -> int:
+        """Search the graph the edges span over the sorted vertices from
+        now on; returns the set of all its vertices."""
+        index = {v: i for i, v in enumerate(vertices)}
+        adj = [0] * len(vertices)
+        for u, v in edges:
+            adj[index[u]] |= 1 << index[v]
+            adj[index[v]] |= 1 << index[u]
+        self.adj = adj
+        self.memo = {}
+        return (1 << len(vertices)) - 1
+
+    def size(self, s: int) -> int:
+        memo = self.memo
+        if s in memo:
+            return memo[s]
+        stack = [self._expand(s, s)]
+        value = None
+        while stack:
+            key, node = stack[-1]
+            try:
+                sub, work = node.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = memo[key] = done.value
+                continue
+            value = memo.get(sub)
+            if value is None:
+                stack.append(self._expand(sub, work))
+        return value
+
+    def _expand(self, s: int, work: int) -> tuple[int, Generator]:
+        self.nodes_left -= 1
+        if self.nodes_left < 0:
+            raise SizeLimitExceeded(
+                f"vertex cover search exceeded its budget of {COVER_NODE_BUDGET} nodes")
+        return s, self._node(s, work)
+
+    def _node(self, whole: int, work: int) -> Generator[tuple[int, int], int, int]:
+        """The search node of the vertex set ``whole``: yields each vertex
+        set it needs the size of, with the vertices whose degree may have
+        changed since the reductions last ran, and returns the size."""
+        adj = self.adj
+        s = whole
+        taken = 0
+        while work:
+            low = work & -work
+            work ^= low
+            if not s & low:
+                continue
+            nbrs = adj[low.bit_length() - 1] & s
+            degree = nbrs.bit_count()
+            if degree == 0:
+                s ^= low
+            elif degree == 1 or (degree == 2 and adj[(nbrs & -nbrs).bit_length() - 1] & nbrs):
+                taken += degree
+                s &= ~(nbrs | low)
+                while nbrs:
+                    w = nbrs & -nbrs
+                    nbrs ^= w
+                    work |= adj[w.bit_length() - 1] & s
+        rest = s
+        while rest:
+            comp = frontier = rest & -rest
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach |= adj[low.bit_length() - 1]
+                frontier = reach & rest & ~comp
+                comp |= frontier
+            rest ^= comp
+            if comp != whole:
+                # reduced and connected: a query of its own, memoized
+                taken += yield comp, 0
+                continue
+            # irreducible and connected: a closed form, or branch
+            n = degree_sum = 0
+            top = -1
+            bits = comp
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                degree = (adj[low.bit_length() - 1] & comp).bit_count()
+                n += 1
+                degree_sum += degree
+                if degree > top:
+                    top, v = degree, low
+            edges = degree_sum // 2
+            if top <= 2:
+                return (edges + 1) // 2
+            if edges == n * (n - 1) // 2:
+                return n - 1
+            nbrs = adj[v.bit_length() - 1] & comp
+            best = 1 + (yield comp ^ v, nbrs)
+            # leaving v out takes its top neighbours, so it can only win below best
+            if top < best:
+                left = comp & ~(nbrs | v)
+                touched = 0
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    touched |= adj[low.bit_length() - 1]
+                best = min(best, top + (yield left, touched & left))
+            return best
+        return taken
 
 
 def min_vertex_cover(graph) -> tuple:
     """An exact minimum vertex cover, lexicographically least among the
     minimum covers.
 
-    One greedy walk per connected component, guided by ``_cover_size``.
-    With ``k`` the component's minimum cover size, the vertices are visited
-    in sorted order.  A vertex with an uncovered edge joins the cover when
-    the vertices chosen so far, the vertex itself and a minimum cover of
-    the edges still left uncovered total ``k``; otherwise no minimum cover
-    extending the choices so far contains it, so all its uncovered
-    neighbours join instead.  Vertices with no uncovered edge are skipped.
-    A clique's minimum covers are its vertices but one, so its least one
+    One greedy walk per connected component, guided by the exact sizes of
+    a ``_CoverSearch`` whose memo lasts the walk.  With ``k`` the
+    component's minimum cover size, the vertices are visited in sorted
+    order and ``s`` holds those not yet decided.  A vertex ``v`` with a
+    neighbour in ``s`` joins the cover when the vertices chosen so far,
+    ``v`` itself and a minimum cover of ``s - v`` total ``k``; otherwise no
+    minimum cover extending the choices so far contains it, so its
+    neighbours in ``s`` join instead.  A vertex with none is skipped.  A
+    clique's minimum covers are its vertices but one, so its least one
     leaves out the largest vertex, with no walk.
+
+    Raises ``SizeLimitExceeded`` when the searches of all components
+    together expand more than ``COVER_NODE_BUDGET`` nodes.
     """
     edges = sorted(tuple(sorted(e)) for e in graph.edges)
     cover: list = []
+    search = _CoverSearch()
     for comp_vertices, comp_edges in _components(edges):
         if _is_clique(comp_vertices, comp_edges):
             cover.extend(comp_vertices[:-1])
             continue
-        k = _cover_size(comp_edges)
+        s = search.load(comp_vertices, comp_edges)
+        k = search.size(s)
+        adj = search.adj
         chosen: list = []
-        live = comp_edges
-        for v in comp_vertices:
-            touching = [e for e in live if v in e]
-            if not touching:
+        for i, v in enumerate(comp_vertices):
+            if not s >> i & 1:
                 continue
-            rest = [e for e in live if v not in e]
-            if len(chosen) + 1 + _cover_size(rest) == k:
+            s ^= 1 << i
+            nbrs = adj[i] & s
+            if not nbrs:
+                continue
+            if len(chosen) + 1 + search.size(s) == k:
                 chosen.append(v)
-                live = rest
             else:
-                neighbours = {u for e in touching for u in e} - {v}
-                chosen.extend(neighbours)
-                live = [e for e in live if not neighbours.intersection(e)]
+                s &= ~nbrs
+                while nbrs:
+                    low = nbrs & -nbrs
+                    nbrs ^= low
+                    chosen.append(comp_vertices[low.bit_length() - 1])
         if len(chosen) != k:
             raise InternalAssumptionViolated(
                 f"greedy cover has {len(chosen)} vertices, the minimum is {k}")
@@ -281,6 +345,8 @@ def plan_for_matching(instance: Instance, truth: StrictProfile,
     super-stability of the target; if any structural assertion fails the
     solver falls back to exhaustive search (within ``FALLBACK_PAIR_CAP``
     mutually acceptable pairs) rather than return an unverified optimum.
+    A cover search past ``COVER_NODE_BUDGET`` nodes raises
+    ``SizeLimitExceeded``, with no fallback.
     """
     report = analyze_blockers(instance, truth, matching)
     try:

@@ -5,6 +5,7 @@ import itertools
 from interviewplan.blockers import analyze_blockers, is_resolved
 from interviewplan.interviews import apply_interviews, interview_cost
 from interviewplan.model import Instance, Relation, StrictProfile, man, woman
+from interviewplan.solvers import _CoverSearch
 from interviewplan.stability import Attitude, Blocking, BlockingPair, Stability, is_stable
 
 
@@ -120,3 +121,75 @@ def check_resolution_equivalence(inst, truth, mu):
                 assert mandatory <= recovered, (chosen, mandatory, recovered)
             tried += 1
     return tried
+
+
+def search_cover_size(vertices, edges):
+    """Minimum vertex cover size of the graph the edges span over the sorted
+    vertices, by the solver's memoized search."""
+    search = _CoverSearch()
+    return search.size(search.load(vertices, edges))
+
+
+def _matching_lower_bound(edges):
+    used = set()
+    size = 0
+    for u, v in edges:
+        if u not in used and v not in used:
+            used.add(u)
+            used.add(v)
+            size += 1
+    return size
+
+
+def bb_cover_size(vertices, edges):
+    """Exact minimum cover size by branch and bound with degree-0 removal,
+    degree-1 forcing, and a greedy-matching lower bound: the solver's
+    search before it was memoized, kept as the mid-size reference."""
+    best = len(vertices)
+
+    def solve(adj, picked):
+        nonlocal best
+        adj = {v: set(ns) for v, ns in adj.items() if ns}
+        # force neighbors of pendant vertices into the cover
+        changed = True
+        while changed:
+            changed = False
+            for v, ns in list(adj.items()):
+                if v in adj and len(adj.get(v, ())) == 1:
+                    (u,) = adj[v]
+                    picked += 1
+                    for x in adj.pop(u, ()):
+                        adj[x].discard(u)
+                        if not adj[x]:
+                            del adj[x]
+                    adj.pop(v, None)
+                    changed = True
+                    break
+        if not adj:
+            best = min(best, picked)
+            return
+        remaining_edges = [(u, v) for u in adj for v in adj[u] if u < v]
+        if picked + _matching_lower_bound(remaining_edges) >= best:
+            return
+        u = max(adj, key=lambda v: (len(adj[v]), v))
+        # branch 1: take u
+        adj1 = {v: set(ns) for v, ns in adj.items()}
+        for x in adj1.pop(u):
+            adj1[x].discard(u)
+        solve(adj1, picked + 1)
+        # branch 2: exclude u, so take all of its neighbors
+        ns = set(adj[u])
+        adj2 = {v: set(xs) for v, xs in adj.items()}
+        for x in ns:
+            for y in adj2.pop(x, ()):
+                if y in adj2:
+                    adj2[y].discard(x)
+        adj2.pop(u, None)
+        solve(adj2, picked + len(ns))
+
+    adj0 = {v: set() for v in vertices}
+    for u, v in edges:
+        adj0[u].add(v)
+        adj0[v].add(u)
+    solve(adj0, 0)
+    return best

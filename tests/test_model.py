@@ -280,6 +280,24 @@ class TestStrictProfile:
                 ranks[seq[0]] = len(seq)
         assert not truth.ranks(man(99))
 
+    def test_refines_needs_each_acceptable_candidate_exactly_once(self, fig1):
+        # no comparisons at all, so only the acceptable sets can reject
+        inst = Instance(2, 2, {a: Relation(a, r.acceptable, frozenset())
+                               for a, r in fig1.instance.relations.items()})
+        truth = fig1.truth
+        assert truth.refines(inst)
+        a = man(1)
+        first, second = truth.ranking[a]
+        outsider = woman(3)
+        for seq in ((first, first),                        # duplicate, same length
+                    (first, second, first),                # duplicate on top
+                    (first,),                              # acceptable candidate missing
+                    (first, outsider),                     # swapped for an outsider
+                    (first, second, outsider)):            # extra candidate
+            ranking = dict(truth.ranking)
+            ranking[a] = seq
+            assert not StrictProfile(ranking).refines(inst), seq
+
 
 class TestRefinement:
     def test_reflexive(self, fig1):

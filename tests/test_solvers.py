@@ -1,19 +1,26 @@
 import warnings
 
 import pytest
-from helpers import edge_twin
+from helpers import bb_cover_size, edge_twin, search_cover_size
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interviewplan import solvers
+from interviewplan.blockers import analyze_blockers, cover_graph
+from interviewplan.cli import main
 from interviewplan.errors import SizeLimitExceeded
-from interviewplan.generators import FAMILIES, SimpleGraph, generate, random_bounded_graph
+from interviewplan.generators import (
+    FAMILIES,
+    SimpleGraph,
+    cover_market_smti,
+    generate,
+    random_bounded_graph,
+)
 from interviewplan.model import MAN, WOMAN, Relation, man, woman
 from interviewplan.oracles import brute_force_cover, oracle_plan_for_matching
 from interviewplan.solvers import (
     PlanStructure,
-    _bb_cover_size,
     _components,
-    _cover_size,
     best_plan,
     detect_structure,
     min_vertex_cover,
@@ -75,8 +82,8 @@ class TestMinVertexCover:
         graphs += [complete_graph(n) for n in range(2, 8)]
         for g in graphs:
             for comp_vertices, comp_edges in _components(sorted(g.edges)):
-                assert (_cover_size(comp_edges)
-                        == _bb_cover_size(comp_vertices, comp_edges)), g
+                assert (search_cover_size(comp_vertices, comp_edges)
+                        == bb_cover_size(comp_vertices, comp_edges)), g
 
     def test_equals_brute_force_on_bounded_graphs(self):
         for seed in range(300):
@@ -96,16 +103,62 @@ class TestMinVertexCover:
 
     def test_large_bounded_degree_cover_market(self):
         # the cover graph has 114 vertices and 140 edges, far beyond brute
-        # force; branch and bound alone gives the size to match
-        from interviewplan.blockers import analyze_blockers, cover_graph
-        from interviewplan.generators import cover_market_smti
-
+        # force; the unmemoized branch and bound gives the size to match
         inst, truth, matching, _ = cover_market_smti(random_bounded_graph(120, 3, seed=3))
         g = cover_graph(analyze_blockers(inst, truth, matching), matching)
         cover = min_vertex_cover(g)
         assert cover == tuple(sorted(set(cover)))
         assert all(u in cover or v in cover for u, v in g.edges)
-        assert len(cover) == _bb_cover_size(sorted(g.vertices), sorted(g.edges))
+        vertices, edges = sorted(g.vertices), sorted(g.edges)
+        assert len(cover) == bb_cover_size(vertices, edges)
+        assert search_cover_size(vertices, edges) == len(cover)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                    .filter(lambda e: e[0] < e[1])))))
+    def test_search_size_equals_brute_force(self, spec):
+        n, edges = spec
+        g = graph(n, edges)
+        assert (search_cover_size(list(g.vertices), sorted(g.edges))
+                == len(brute_force_cover(g)))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=60), st.integers(min_value=2, max_value=4),
+           st.integers(min_value=0, max_value=10**6))
+    def test_search_size_equals_branch_and_bound(self, n, max_degree, seed):
+        g = random_bounded_graph(n, max_degree, seed)
+        vertices, edges = list(g.vertices), sorted(g.edges)
+        assert search_cover_size(vertices, edges) == bb_cover_size(vertices, edges)
+
+    def test_pinned_covers_of_benchmark_sized_graphs(self):
+        # the covers the unmemoized branch and bound guided the walk to
+        pinned = {
+            7: (1, 4, 5, 6, 7, 9, 10, 13, 15, 18, 20, 23, 25, 28, 29, 32, 34, 36,
+                38, 39, 40),
+            12: (1, 2, 3, 4, 10, 11, 12, 14, 15, 16, 18, 19, 20, 26, 28, 31, 32,
+                 33, 34, 35, 36, 38),
+            18: (1, 3, 4, 5, 6, 8, 9, 12, 14, 15, 18, 20, 21, 22, 24, 27, 30, 31,
+                 32, 36, 37, 39),
+        }
+        for seed, cover in pinned.items():
+            assert min_vertex_cover(random_bounded_graph(40, 3, seed)) == cover, seed
+
+    def test_thousands_of_vertices_without_recursion(self):
+        # 700 triangles in a chain and a 2,000-vertex path: the reductions
+        # take them apart, and no search step recurses
+        triangles = []
+        for i in range(700):
+            a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+            triangles += [(a, b), (b, c), (a, c)] + ([(3 * i, a)] if i else [])
+        chain = graph(2100, triangles)
+        cover = min_vertex_cover(chain)
+        assert len(cover) == 1400
+        assert all(u in cover or v in cover for u, v in chain.edges)
+        path = graph(2000, [(i, i + 1) for i in range(1, 2000)])
+        assert min_vertex_cover(path) == tuple(range(1, 2000, 2))
 
     def test_star_plus_clique_mixed_components(self):
         g = graph(8, [(1, 2), (1, 3), (1, 4),           # star
@@ -113,6 +166,51 @@ class TestMinVertexCover:
         cover = min_vertex_cover(g)
         assert len(cover) == 1 + 3
         assert 1 in cover
+
+
+class TestCoverBudget:
+    def test_min_vertex_cover_raises_past_the_budget(self, monkeypatch):
+        g = random_bounded_graph(40, 3, 12)
+        assert len(min_vertex_cover(g)) == 22
+        monkeypatch.setattr(solvers, "COVER_NODE_BUDGET", 10)
+        with pytest.raises(SizeLimitExceeded, match="budget of 10 nodes"):
+            min_vertex_cover(g)
+
+    def test_plan_for_matching_raises_without_falling_back(self, monkeypatch):
+        # the star's market has 7 acceptable pairs, within the fallback's
+        # cap, yet a spent budget is not an assertion failure to fall back on
+        inst, truth, matching, _ = cover_market_smti(graph(4, [(1, 2), (1, 3), (1, 4)]))
+        assert len(inst.acceptable_pairs()) <= solvers.FALLBACK_PAIR_CAP
+        monkeypatch.setattr(solvers, "COVER_NODE_BUDGET", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SizeLimitExceeded, match="budget of 0 nodes"):
+                plan_for_matching(inst, truth, matching)
+
+    def test_solve_exits_one_with_the_message(self, monkeypatch, tmp_path, capsys):
+        (tmp_path / "star.graph").write_text("graph 4 3\n1 2\n1 3\n1 4\n", encoding="utf-8")
+        prefix = str(tmp_path / "star")
+        assert main(["gen", "--family", "vc3-smti", "--graph", prefix + ".graph",
+                     "--out", prefix]) == 0
+        monkeypatch.setattr(solvers, "COVER_NODE_BUDGET", 0)
+        capsys.readouterr()
+        assert main(["solve", prefix + ".instance", prefix + ".truth",
+                     "--matching", prefix + ".matching"]) == 1
+        assert "vertex cover search exceeded its budget of 0 nodes" in capsys.readouterr().err
+
+    def test_bench_writes_the_error_into_its_row(self, monkeypatch, tmp_path, capsys):
+        # of the ten connected graphs on up to four vertices, the four
+        # cliques take the clique shortcut and need no search
+        monkeypatch.setattr(solvers, "COVER_NODE_BUDGET", 0)
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--family", "vc3-smti", "--max-n", "4",
+                     "--omit-runtime", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        errors = [cells[14] for cells in rows]
+        assert len(rows) == 10
+        assert errors.count("vertex cover search exceeded its budget of 0 nodes") == 6
+        assert errors.count("") == 4
+        assert all((cells[9] == "") == (cells[14] != "") for cells in rows)
 
 
 class TestPlanForMatching:
