@@ -107,12 +107,14 @@ class CoverGraph:
         return sum(1 for e in self.edges if v in e)
 
 
-def _truly_prefers(truth: StrictProfile, agent: Agent, candidate: Agent,
-                   matching: Matching) -> bool:
+def _true_cut(truth: StrictProfile, matching: Matching,
+              agent: Agent) -> tuple[Mapping[Agent, int], int]:
+    """The agent's true rank map and the rank of its partner in it, or the
+    length of the map when unmatched: the agent truly prefers a candidate
+    to its partner exactly when the candidate ranks before that cut."""
+    ranks = truth.ranks(agent)
     partner = matching.partner(agent)
-    if partner is None:
-        return True
-    return truth.prefers(agent, candidate, partner)
+    return ranks, len(ranks) if partner is None else ranks[partner]
 
 
 def analyze_blockers(instance: Instance, truth: StrictProfile,
@@ -131,9 +133,12 @@ def analyze_blockers(instance: Instance, truth: StrictProfile,
             "target matching has a blocking pair under the true preferences")
 
     blockers = []
+    cuts: dict[Agent, tuple[Mapping[Agent, int], int]] = {}
     for m, w in _very_weak_blockers(instance, matching, instance.acceptable_pairs()):
-        man_keen = _truly_prefers(truth, m, w, matching)
-        woman_keen = _truly_prefers(truth, w, m, matching)
+        ranks, cut = cuts.get(m) or cuts.setdefault(m, _true_cut(truth, matching, m))
+        man_keen = ranks[w] < cut
+        ranks, cut = cuts.get(w) or cuts.setdefault(w, _true_cut(truth, matching, w))
+        woman_keen = ranks[m] < cut
         if man_keen and woman_keen:
             # would be a strong blocker of the truth, excluded above
             raise InternalAssumptionViolated(f"({m}, {w}) blocks the truth")

@@ -43,8 +43,9 @@ class CompatibilityWitness:
 
 
 def _interviewed(interviews: frozenset[Pair]) -> dict[Agent, list[Agent]]:
+    # in no particular order: each list is sorted by the truth before use
     met: dict[Agent, list[Agent]] = {}
-    for m, w in sorted(interviews):
+    for m, w in interviews:
         met.setdefault(m, []).append(w)
         met.setdefault(w, []).append(m)
     return met
@@ -59,9 +60,11 @@ def _apply_unchecked(instance: Instance, truth: StrictProfile,
     for a, cands in met.items():
         if len(cands) < 2:
             continue
-        ordered = sorted(cands, key=lambda c: truth.rank(a, c))
-        rels[a] = rels[a].learn(ordered)
-    return Instance(instance.n_men, instance.n_women, rels, base=False)
+        rels[a] = rels[a].learn(sorted(cands, key=truth.ranks(a).__getitem__))
+    refined = Instance(instance.n_men, instance.n_women, rels, base=False)
+    # learning keeps every acceptable set, so the pair list carries over
+    refined._pairs = instance._pairs
+    return refined
 
 
 def apply_interviews(instance: Instance, truth: StrictProfile,
@@ -76,12 +79,14 @@ def apply_interviews(instance: Instance, truth: StrictProfile,
     """
     if not truth.refines(instance):
         raise TruthInconsistent("strict profile does not refine the instance")
-    for m, w in interviews:
-        m, w = couple(m, w)
-        if (w not in instance.relations[m].acceptable
-                or m not in instance.relations[w].acceptable):
+    relations = instance.relations
+    normalized = []
+    for pair in interviews:
+        m, w = couple(*pair)
+        if w not in relations[m].acceptable or m not in relations[w].acceptable:
             raise UnacceptablePair(f"{m} and {w} are not mutually acceptable")
-    return _apply_unchecked(instance, truth, frozenset(couple(*p) for p in interviews))
+        normalized.append((m, w))
+    return _apply_unchecked(instance, truth, frozenset(normalized))
 
 
 def interview_compatibility(base: Instance, refined: Instance) -> CompatibilityWitness:

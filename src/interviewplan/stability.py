@@ -12,7 +12,13 @@ coincide.
 
 One scan, :func:`_very_weak_blockers`, decides very weak blocking; every
 strong or weak blocker is also a very weak one, so the other levels are
-filters over it.
+filters over it.  Like Irving's super-stability algorithm, the scan reads
+each agent's position relative to its partner rather than comparing pair
+by pair: the first time it reaches a matched agent it builds the agent's
+settled set, the candidates ranked after the partner by class level or by
+learned (met) rank.  A pair is then settled on a member's side by one set
+membership, or by the member's explicit ``extra`` edge from its partner,
+tested per pair so that an edge-built relation is never expanded.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .errors import InvalidMatching, SizeLimitExceeded
 from .model import (
@@ -30,6 +36,7 @@ from .model import (
     Instance,
     Matching,
     Pair,
+    Relation,
     StrictProfile,
     linear_extensions,
 )
@@ -105,20 +112,52 @@ def _qualifies(level: Blocking, man_att: Attitude, woman_att: Attitude) -> bool:
     return man_att in _KEEN and woman_att in _KEEN
 
 
+# how the scan sees one agent: its partner, the candidates it ranks after
+# that partner by class level or met rank, and its relation's extra edges
+_Side = tuple[Optional[Agent], AbstractSet[Agent], AbstractSet[Pair]]
+_UNMATCHED: _Side = (None, frozenset(), frozenset())
+
+
+def _side(rel: Relation, partner: Agent) -> _Side:
+    """The owner's partner, its settled set (everyone in a class after the
+    partner's and every met candidate ranked after it) and its ``extra``
+    edges, which the set leaves out."""
+    after = set()
+    at = rel.level.get(partner)
+    if at is not None:
+        after.update(*rel.classes[at + 1:])
+    rank = rel.rank.get(partner)
+    if rank is not None:
+        after.update(rel.met[rank + 1:])
+    return partner, after, rel.extra
+
+
 def _very_weak_blockers(instance: Instance, matching: Matching,
                         pairs: Iterable[Pair]) -> Iterator[Pair]:
     # Unchecked: the caller validates the matching and passes acceptable
     # pairs.  A pair blocks unless matched or settled by a partner's edge.
-    partner = matching.partner
+    # The first time the scan reaches an agent it binds the agent's side:
+    # the partner, read from the matching's map, the settled set and the
+    # extra edges.  ``c in settled or (partner, c) in extra`` is exactly
+    # ``prefers(partner, c)``: a level, then a rank, then extra.  extra is
+    # tested per pair, so an edge-built relation is never expanded.
     relations = instance.relations
+    partner = matching._of.get
+    sides: dict[Agent, _Side] = {}
     for m, w in pairs:
-        pm = partner(m)
-        if pm == w:
+        side = sides.get(m)
+        if side is None:
+            pm = partner(m)
+            side = sides[m] = _UNMATCHED if pm is None else _side(relations[m], pm)
+        pm, settled, extra = side
+        if pm is not None and (pm == w or w in settled or extra and (pm, w) in extra):
             continue
-        if pm is not None and relations[m].prefers(pm, w):
-            continue
-        pw = partner(w)
-        if pw is not None and relations[w].prefers(pw, m):
+        side = sides.get(w)
+        if side is None:
+            pw = partner(w)
+            side = sides[w] = _UNMATCHED if pw is None else _side(relations[w], pw)
+        pw, settled, extra = side
+        if pw is not None and (m in settled or extra and (pw, m) in extra):
             continue
         yield m, w
 

@@ -2,9 +2,22 @@
 
 import itertools
 
+from hypothesis import strategies as st
+
 from interviewplan.blockers import analyze_blockers, is_resolved
 from interviewplan.interviews import apply_interviews, interview_cost
-from interviewplan.model import Instance, Relation, StrictProfile, man, woman
+from interviewplan.model import (
+    MAN,
+    Instance,
+    Matching,
+    Relation,
+    StrictProfile,
+    ValidationReport,
+    Violation,
+    man,
+    tie_relation,
+    woman,
+)
 from interviewplan.solvers import _CoverSearch
 from interviewplan.stability import Attitude, Blocking, BlockingPair, Stability, is_stable
 
@@ -93,6 +106,25 @@ def spec_blocking_pairs(instance, matching, level):
                 or keen_count == 2):
             out.append(BlockingPair(m, w, level, man_att, woman_att))
     return tuple(out)
+
+
+def prefers_scan(instance, matching, pairs):
+    """The very weak blockers among ``pairs``, by one ``Relation.prefers``
+    call per member: a pair blocks unless matched or settled by a member
+    preferring its partner.  Unlike :func:`spec_blocking_pairs` it settles
+    a pair whenever the partner is preferred, also where the candidate is
+    preferred too, as only an inconsistent state allows."""
+    out = []
+    for m, w in pairs:
+        pm, pw = matching.partner(m), matching.partner(w)
+        if pm == w:
+            continue
+        if pm is not None and instance.relations[m].prefers(pm, w):
+            continue
+        if pw is not None and instance.relations[w].prefers(pw, m):
+            continue
+        out.append((m, w))
+    return out
 
 
 def check_resolution_equivalence(inst, truth, mu):
@@ -193,3 +225,120 @@ def bb_cover_size(vertices, edges):
         adj0[v].add(u)
     solve(adj0, 0)
     return best
+
+
+def full_validate(instance):
+    """Reference for :func:`validate_instance`: every relation's whole edge
+    view goes through the pairwise checks, with no shortcut for relations
+    sound by construction, and transitivity is checked by the loop over
+    every edge and every acceptable third candidate."""
+    out = []
+    men_set = set(instance.men())
+    women_set = set(instance.women())
+    known = men_set | women_set
+
+    for a in sorted(instance.relations):
+        if a not in known:
+            out.append(Violation("unknown_agent", a, "index outside declared counts"))
+        elif instance.relations[a].owner != a:
+            out.append(Violation("owner_mismatch", a,
+                                 f"relation owned by {instance.relations[a].owner}"))
+
+    for a in sorted(known):
+        rel = instance.relations[a]
+        other = women_set if a.side == MAN else men_set
+        for c in sorted(rel.acceptable):
+            if c not in other:
+                out.append(Violation("bad_candidate", a,
+                                     f"{c} is not an agent on the opposite side"))
+            elif a not in instance.relations[c].acceptable:
+                out.append(Violation("one_sided_acceptability", a,
+                                     f"{a} accepts {c} but not vice versa"))
+        edges = rel.edges
+        for c1, c2 in sorted(edges):
+            if c1 == c2:
+                out.append(Violation("reflexive_edge", a, f"({c1}, {c2})"))
+            if (c2, c1) in edges and c1 < c2:
+                out.append(Violation("asymmetry", a,
+                                     f"both ({c1}, {c2}) and ({c2}, {c1}) present"))
+            if c1 not in rel.acceptable or c2 not in rel.acceptable:
+                out.append(Violation("edge_outside_acceptable", a, f"({c1}, {c2})"))
+        if instance.base:
+            for c1, c2 in sorted(edges):
+                for c3 in sorted(rel.acceptable):
+                    if (c2, c3) in edges and (c1, c3) not in edges and c1 != c3:
+                        out.append(Violation(
+                            "not_transitive", a,
+                            f"({c1}, {c2}) and ({c2}, {c3}) without ({c1}, {c3})"))
+    return ValidationReport(tuple(out))
+
+
+def reference_refines(truth, instance):
+    """Reference for :meth:`StrictProfile.refines`: each class's true ranks
+    are listed, and the least of them may not come before the greatest of
+    the class before."""
+    for a, rel in instance.relations.items():
+        ranks = truth.ranks(a)
+        if not (len(truth.acceptable(a)) == len(rel.acceptable)
+                and ranks.keys() >= rel.acceptable):
+            return False
+        try:
+            worst = -1
+            for cls in rel.classes:
+                class_ranks = [ranks[c] for c in cls]
+                if min(class_ranks) < worst:
+                    return False
+                worst = max(class_ranks)
+            for c1, c2 in rel.extra:
+                if ranks[c1] > ranks[c2]:
+                    return False
+            met = rel.met
+            if any(ranks[c1] > ranks[c2] for c1, c2 in zip(met, met[1:])):
+                return False
+        except KeyError:
+            return False
+    return True
+
+
+def draw_partial_matching(draw, instance):
+    """A random partial matching over the instance's mutually acceptable
+    pairs."""
+    taken, matched = set(), []
+    for m, w in draw(st.permutations(instance.acceptable_pairs())):
+        if m not in taken and w not in taken and draw(st.booleans()):
+            taken |= {m, w}
+            matched.append((m, w))
+    return Matching(matched)
+
+
+@st.composite
+def class_markets(draw):
+    """Up to 4 agents per side with random mutual acceptability.  Each agent
+    splits a random order of its candidates into classes at random cuts,
+    repeated cuts giving empty classes.  The truth shuffles inside each
+    class (consistent) or the whole list (possibly inconsistent); the two
+    interview sets, applied one after the other, are random sets of
+    acceptable pairs."""
+    n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    men = [man(i) for i in range(1, n_men + 1)]
+    women = [woman(j) for j in range(1, n_women + 1)]
+    pairs = [(m, w) for m in men for w in women if draw(st.booleans())]
+    acceptable = {a: [] for a in men + women}
+    for m, w in pairs:
+        acceptable[m].append(w)
+        acceptable[w].append(m)
+    consistent = draw(st.booleans())
+    rels, ranking = {}, {}
+    for a, cands in acceptable.items():
+        order = draw(st.permutations(cands))
+        cuts = draw(st.lists(st.integers(0, len(order)), max_size=len(order) + 2))
+        bounds = [0] + sorted(cuts) + [len(order)]
+        classes = [order[i:j] for i, j in zip(bounds, bounds[1:])]
+        rels[a] = tie_relation(a, classes)
+        if consistent:
+            ranking[a] = tuple(c for cls in classes for c in draw(st.permutations(cls)))
+        else:
+            ranking[a] = tuple(draw(st.permutations(cands)))
+    interviews = frozenset(p for p in pairs if draw(st.booleans()))
+    again = frozenset(p for p in pairs if draw(st.booleans()))
+    return Instance(n_men, n_women, rels), StrictProfile(ranking), interviews, again

@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from helpers import class_markets
+from hypothesis import given, settings
 
 from interviewplan.errors import InvalidInstance, ParseError
 from interviewplan.fixtures import FIXTURE_NAMES, load, triangle_graph
@@ -17,6 +19,7 @@ from interviewplan.formats import (
     parse_truth,
 )
 from interviewplan.generators import (
+    FAMILIES,
     cover_market_smt,
     cover_market_smti,
     generate,
@@ -57,6 +60,30 @@ def test_smpi_roundtrip():
     assert inst.relations[man(1)].prefers(woman(1), woman(3))
     again = parse_instance(format_instance(inst, style="smpi"))
     assert again == inst
+
+
+def assert_byte_round_trip(inst):
+    """Both styles write text that parses back to the instance and is
+    written again byte for byte."""
+    for style in ("smti", "smpi"):
+        text = format_instance(inst, style)
+        parsed = parse_instance(text)
+        assert parsed == inst, style
+        assert format_instance(parsed, style) == text, style
+
+
+def test_byte_round_trip_of_generated_families():
+    for family in FAMILIES:
+        for n in range(3, 9):
+            for seed in range(3):
+                inst, _ = generate(family, n=n, seed=seed, density=0.7)
+                assert_byte_round_trip(inst)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(class_markets())
+def test_byte_round_trip_of_class_markets(market):
+    assert_byte_round_trip(market[0])
 
 
 def test_smti_and_smpi_styles_agree():

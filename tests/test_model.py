@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from helpers import edge_twin
+from helpers import class_markets, edge_twin, full_validate, reference_refines
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,14 +16,11 @@ from interviewplan.interviews import (
     interview_cost,
 )
 from interviewplan.model import (
-    MAN,
     Comparison,
     Instance,
     Relation,
     StrictProfile,
     TieStructure,
-    Violation,
-    ValidationReport,
     agent_tie_structure,
     compare,
     detect_tie_structure,
@@ -96,51 +93,6 @@ class TestValidation:
         })
         report = validate_instance(inst)
         assert any(v.kind == "reflexive_edge" for v in report.violations)
-
-
-def full_validate(instance):
-    """Reference for :func:`validate_instance`: every relation's whole edge
-    view goes through the pairwise checks, with no shortcut for relations
-    sound by construction."""
-    out = []
-    men_set = set(instance.men())
-    women_set = set(instance.women())
-    known = men_set | women_set
-
-    for a in sorted(instance.relations):
-        if a not in known:
-            out.append(Violation("unknown_agent", a, "index outside declared counts"))
-        elif instance.relations[a].owner != a:
-            out.append(Violation("owner_mismatch", a,
-                                 f"relation owned by {instance.relations[a].owner}"))
-
-    for a in sorted(known):
-        rel = instance.relations[a]
-        other = women_set if a.side == MAN else men_set
-        for c in sorted(rel.acceptable):
-            if c not in other:
-                out.append(Violation("bad_candidate", a,
-                                     f"{c} is not an agent on the opposite side"))
-            elif a not in instance.relations[c].acceptable:
-                out.append(Violation("one_sided_acceptability", a,
-                                     f"{a} accepts {c} but not vice versa"))
-        edges = rel.edges
-        for c1, c2 in sorted(edges):
-            if c1 == c2:
-                out.append(Violation("reflexive_edge", a, f"({c1}, {c2})"))
-            if (c2, c1) in edges and c1 < c2:
-                out.append(Violation("asymmetry", a,
-                                     f"both ({c1}, {c2}) and ({c2}, {c1}) present"))
-            if c1 not in rel.acceptable or c2 not in rel.acceptable:
-                out.append(Violation("edge_outside_acceptable", a, f"({c1}, {c2})"))
-        if instance.base:
-            for c1, c2 in sorted(edges):
-                for c3 in sorted(rel.acceptable):
-                    if (c2, c3) in edges and (c1, c3) not in edges and c1 != c3:
-                        out.append(Violation(
-                            "not_transitive", a,
-                            f"({c1}, {c2}) and ({c2}, {c3}) without ({c1}, {c3})"))
-    return ValidationReport(tuple(out))
 
 
 def classed(owner, acceptable, classes, extra=()):
@@ -227,6 +179,28 @@ class TestValidationShortcut:
         inst = one_man_market(classed(man(1), acceptable, classes, extra), base)
         assert validate_instance(inst) == full_validate(inst)
 
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.sets(st.sampled_from(CANDIDATES[:5]), max_size=5),
+           st.sets(st.tuples(st.sampled_from(CANDIDATES), st.sampled_from(CANDIDATES)),
+                   max_size=14),
+           st.booleans(), st.booleans())
+    def test_edge_relations_equal_full_check(self, acceptable, edges, closed, base):
+        # arbitrary edges are reflexive, symmetric, non-transitive or leave
+        # the acceptable set; their transitive closure passes the quick check
+        if closed:
+            edges = transitive_closure(edges)
+        inst = one_man_market(relation(man(1), acceptable, edges), base)
+        assert validate_instance(inst) == full_validate(inst)
+
+
+def transitive_closure(edges):
+    closure = set(edges)
+    while True:
+        implied = {(c1, c3) for c1, c2 in closure for d, c3 in closure if d == c2}
+        if implied <= closure:
+            return closure
+        closure |= implied
+
 
 class TestCompare:
     def test_initially_incomparable(self, fig1):
@@ -297,6 +271,25 @@ class TestStrictProfile:
             ranking = dict(truth.ranking)
             ranking[a] = seq
             assert not StrictProfile(ranking).refines(inst), seq
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.data())
+    def test_refines_equals_per_class_reference(self, data):
+        # disjoint classes drawn from all six candidates, so a class may hold
+        # one outside the acceptable set, plus extra edges; the truth ranks
+        # the acceptable set in a random order
+        acceptable = data.draw(st.sets(st.sampled_from(CANDIDATES[:4]), min_size=1))
+        order = data.draw(st.permutations(CANDIDATES))[:data.draw(st.integers(0, 6))]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
+        bounds = [0] + cuts + [len(order)]
+        classes = [order[i:j] for i, j in zip(bounds, bounds[1:])]
+        extra = data.draw(st.sets(st.tuples(st.sampled_from(CANDIDATES[:4]),
+                                            st.sampled_from(CANDIDATES[:4])), max_size=2))
+        inst = one_man_market(classed(man(1), acceptable, classes, extra))
+        ranking = {w: (man(1),) for w in CANDIDATES[:3]}
+        ranking[man(1)] = tuple(data.draw(st.permutations(sorted(acceptable))))
+        truth = StrictProfile(ranking)
+        assert truth.refines(inst) == reference_refines(truth, inst)
 
 
 class TestRefinement:
@@ -519,39 +512,6 @@ def recursive_linear_extensions(instance, a, cap=10000):
 
     walk()
     return out, overflow
-
-
-@st.composite
-def class_markets(draw):
-    """Up to 4 agents per side with random mutual acceptability.  Each agent
-    splits a random order of its candidates into classes at random cuts,
-    repeated cuts giving empty classes.  The truth shuffles inside each
-    class (consistent) or the whole list (possibly inconsistent); the two
-    interview sets, applied one after the other, are random sets of
-    acceptable pairs."""
-    n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    men = [man(i) for i in range(1, n_men + 1)]
-    women = [woman(j) for j in range(1, n_women + 1)]
-    pairs = [(m, w) for m in men for w in women if draw(st.booleans())]
-    acceptable = {a: [] for a in men + women}
-    for m, w in pairs:
-        acceptable[m].append(w)
-        acceptable[w].append(m)
-    consistent = draw(st.booleans())
-    rels, ranking = {}, {}
-    for a, cands in acceptable.items():
-        order = draw(st.permutations(cands))
-        cuts = draw(st.lists(st.integers(0, len(order)), max_size=len(order) + 2))
-        bounds = [0] + sorted(cuts) + [len(order)]
-        classes = [order[i:j] for i, j in zip(bounds, bounds[1:])]
-        rels[a] = tie_relation(a, classes)
-        if consistent:
-            ranking[a] = tuple(c for cls in classes for c in draw(st.permutations(cls)))
-        else:
-            ranking[a] = tuple(draw(st.permutations(cands)))
-    interviews = frozenset(p for p in pairs if draw(st.booleans()))
-    again = frozenset(p for p in pairs if draw(st.booleans()))
-    return Instance(n_men, n_women, rels), StrictProfile(ranking), interviews, again
 
 
 def assert_same_relations(inst, twin):

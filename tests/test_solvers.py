@@ -403,6 +403,28 @@ class TestClassBuiltMarkets:
         assert [plan_view(p) for p in plans] == expected
 
 
+    def test_solve_never_calls_prefers_per_pair(self, monkeypatch):
+        # the blocker scan and the super-stability check read settled sets,
+        # so a solve of a 30x30 market calls prefers fewer times than there
+        # are agents, where a per-pair scan would call it for most of the
+        # 900 pairs
+        inst, truth = generate("master_ties", n=30, seed=0)
+        mu = gale_shapley(truth, MAN)
+        calls = 0
+        prefers = Relation.prefers
+
+        def counted(rel, c1, c2):
+            nonlocal calls
+            calls += 1
+            return prefers(rel, c1, c2)
+
+        monkeypatch.setattr(Relation, "prefers", counted)
+        plan = plan_for_matching(inst, truth, mu)
+        monkeypatch.undo()
+        assert plan.report.blockers and len(inst.acceptable_pairs()) == 900
+        assert calls < len(inst.agents())
+
+
 class TestDenseMarkets:
     def test_tiered_every_pair_interviews(self):
         # one tier of 200 per side: every one of the 40,000 acceptable pairs

@@ -1,14 +1,20 @@
 import itertools
 
 import pytest
-from helpers import spec_blocking_pairs
+from helpers import (
+    class_markets,
+    draw_partial_matching,
+    edge_twin,
+    prefers_scan,
+    spec_blocking_pairs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interviewplan.blockers import PotentialBlocker, is_resolved
+from interviewplan.blockers import PotentialBlocker, analyze_blockers, is_resolved
 from interviewplan.errors import InvalidMatching, SizeLimitExceeded
 from interviewplan.generators import generate
-from interviewplan.interviews import apply_interviews
+from interviewplan.interviews import _apply_unchecked, apply_interviews
 from interviewplan.model import (
     Instance,
     Matching,
@@ -20,6 +26,7 @@ from interviewplan.model import (
 from interviewplan.stability import (
     Blocking,
     Stability,
+    _very_weak_blockers,
     blocking_pairs,
     extension_agreement,
     gale_shapley,
@@ -85,12 +92,32 @@ def asymmetric_markets(draw):
                 edges.add(way)
         rels[a] = Relation(a, frozenset(acceptable), frozenset(edges))
     instance = Instance(n_men, n_women, rels, base=False)
-    taken, matched = set(), []
-    for m, w in draw(st.permutations(instance.acceptable_pairs())):
-        if m not in taken and w not in taken and draw(st.booleans()):
-            taken |= {m, w}
-            matched.append((m, w))
-    return instance, Matching(matched)
+    return instance, draw_partial_matching(draw, instance)
+
+
+@st.composite
+def class_states(draw):
+    """A class-built market from ``class_markets`` with its truth and two
+    interview sets, plus a partial matching over its acceptable pairs."""
+    inst, truth, interviews, again = draw(class_markets())
+    return inst, truth, interviews, again, draw_partial_matching(draw, inst)
+
+
+def assert_scan_equals_spec(instance, spec_instance, mu):
+    """Every stability query on ``instance`` answers as the definitions do
+    on ``spec_instance``, its literal edge sets: the blockers at each
+    level, each stability verdict and whether each pair is resolved."""
+    expected = {level: spec_blocking_pairs(spec_instance, mu, level) for level in Blocking}
+    for level in Blocking:
+        assert blocking_pairs(instance, mu, level) == expected[level]
+    for stability, against in ((Stability.WEAK, Blocking.STRONG),
+                               (Stability.STRONG, Blocking.WEAK),
+                               (Stability.SUPER, Blocking.VERY_WEAK)):
+        assert is_stable(instance, mu, stability) == (expected[against] == ())
+    very_weak = {(b.man, b.woman) for b in expected[Blocking.VERY_WEAK]}
+    for m, w in instance.acceptable_pairs():
+        resolved = is_resolved(instance, PotentialBlocker(m, w, 2), mu)
+        assert resolved == ((m, w) not in very_weak)
 
 
 class TestOneScan:
@@ -98,17 +125,28 @@ class TestOneScan:
     @given(asymmetric_markets())
     def test_levels_equal_spec(self, market):
         instance, mu = market
-        expected = {level: spec_blocking_pairs(instance, mu, level) for level in Blocking}
-        for level in Blocking:
-            assert blocking_pairs(instance, mu, level) == expected[level]
-        for stability, against in ((Stability.WEAK, Blocking.STRONG),
-                                   (Stability.STRONG, Blocking.WEAK),
-                                   (Stability.SUPER, Blocking.VERY_WEAK)):
-            assert is_stable(instance, mu, stability) == (expected[against] == ())
-        very_weak = {(b.man, b.woman) for b in expected[Blocking.VERY_WEAK]}
-        for m, w in instance.acceptable_pairs():
-            resolved = is_resolved(instance, PotentialBlocker(m, w, 2), mu)
-            assert resolved == ((m, w) not in very_weak)
+        assert_scan_equals_spec(instance, instance, mu)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(class_states())
+    def test_class_built_states_equal_edge_twin(self, market):
+        # the base state reads class levels, the learned one met ranks too,
+        # and the relearned one also literal pairs in extra; an inconsistent
+        # truth can teach the reverse of a class pair, and the spec's
+        # attitudes are defined for asymmetric states only
+        inst, truth, interviews, again, mu = market
+        learned = _apply_unchecked(inst, truth, interviews)
+        relearned = _apply_unchecked(learned, truth, again)
+        consistent = truth.refines(inst)
+        classify = consistent and weakly_stable_under(truth, mu)
+        for state in (inst, learned, relearned):
+            twin = edge_twin(state)
+            pairs = state.acceptable_pairs()
+            assert list(_very_weak_blockers(state, mu, pairs)) == prefers_scan(twin, mu, pairs)
+            if consistent:
+                assert_scan_equals_spec(state, twin, mu)
+            if classify:
+                assert analyze_blockers(state, truth, mu) == analyze_blockers(twin, truth, mu)
 
 
 class TestIsStable:
