@@ -16,7 +16,7 @@ cover problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
     InternalAssumptionViolated,
@@ -35,8 +35,7 @@ from .model import (
 from .stability import _very_weak_blockers, check_matching, weakly_stable_under
 
 
-@dataclass(frozen=True)
-class PotentialBlocker:
+class PotentialBlocker(NamedTuple):
     """A very weak blocking pair of the target matching, classified by how
     it can be settled.
 
@@ -133,6 +132,7 @@ def analyze_blockers(instance: Instance, truth: StrictProfile,
             "target matching has a blocking pair under the true preferences")
 
     blockers = []
+    admirers: dict[Agent, set[Agent]] = {}
     cuts: dict[Agent, tuple[Mapping[Agent, int], int]] = {}
     for m, w in _very_weak_blockers(instance, matching, instance.acceptable_pairs()):
         ranks, cut = cuts.get(m) or cuts.setdefault(m, _true_cut(truth, matching, m))
@@ -142,17 +142,14 @@ def analyze_blockers(instance: Instance, truth: StrictProfile,
         if man_keen and woman_keen:
             # would be a strong blocker of the truth, excluded above
             raise InternalAssumptionViolated(f"({m}, {w}) blocks the truth")
-        if man_keen or woman_keen:
-            blockers.append(PotentialBlocker(m, w, 1, MAN if man_keen else WOMAN))
+        if man_keen:
+            blockers.append(PotentialBlocker(m, w, 1, MAN))
+            admirers.setdefault(w, set()).add(m)
+        elif woman_keen:
+            blockers.append(PotentialBlocker(m, w, 1, WOMAN))
+            admirers.setdefault(m, set()).add(w)
         else:
             blockers.append(PotentialBlocker(m, w, 2))
-
-    admirers: dict[Agent, set[Agent]] = {}
-    for b in blockers:
-        if b.degree != 1:
-            continue
-        keen, other = ((b.man, b.woman) if b.keen_side == MAN else (b.woman, b.man))
-        admirers.setdefault(other, set()).add(keen)
     admirer_map = {a: frozenset(cs) for a, cs in admirers.items()}
 
     for a in admirer_map:

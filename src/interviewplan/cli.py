@@ -63,6 +63,8 @@ from .stability import (
 
 GEN_FAMILIES = ("tiered", "random-smti", "master-ties", "one-side-strict",
                 "vc3-smti", "vc3-smt")
+# the graph-backed families, by the market construction each runs
+GRAPH_BUILDERS = {"vc3-smti": cover_market_smti, "vc3-smt": cover_market_smt}
 
 # completions scanned by the check command's consistency cross-check
 EXTENSION_PRODUCT_CAP = 100000
@@ -84,28 +86,39 @@ def _matching_str(matching) -> str:
     return "; ".join(f"{m} {w}" for m, w in matching.pairs) or "(empty)"
 
 
+def _generated(args, seeds):
+    """One (instance, truth) of a random family per seed, from the
+    ``gen``/``bench`` options; checks them even for no seeds."""
+    if args.n is None:
+        raise BadParams("--n is required for random families")
+    tiers = [int(t) for t in args.tiers.split(",")] if args.tiers else None
+    for seed in seeds:
+        yield generate(args.family.replace("-", "_"), n=args.n, seed=seed,
+                       tiers=tiers, tie_cap=args.tie_cap, density=args.density)
+
+
+def _size_cap(args) -> dict:
+    """``--cap`` as the oracles' ``size_cap`` keyword; 0 leaves their
+    default."""
+    return {"size_cap": args.cap} if args.cap else {}
+
+
 # ---------------------------------------------------------------------------
 # gen
 
 
 def cmd_gen(args) -> int:
     header = [f"# generated: family={args.family} seed={args.seed}"]
-    if args.family in ("vc3-smti", "vc3-smt"):
+    build = GRAPH_BUILDERS.get(args.family)
+    if build:
         if not args.graph:
             print("error: --graph is required for graph-backed families", file=sys.stderr)
             return 2
         graph = parse_graph(_read(args.graph))
-        build = cover_market_smti if args.family == "vc3-smti" else cover_market_smt
         instance, truth, matching, _ = build(graph)
         header.append(f"# graph: {args.graph} ({graph.n} vertices, {len(graph.edges)} edges)")
     else:
-        if args.n is None:
-            print("error: --n is required for random families", file=sys.stderr)
-            return 2
-        tiers = [int(t) for t in args.tiers.split(",")] if args.tiers else None
-        instance, truth = generate(
-            args.family.replace("-", "_"), n=args.n, seed=args.seed,
-            tiers=tiers, tie_cap=args.tie_cap, density=args.density)
+        (instance, truth), = _generated(args, [args.seed])
         matching = None
         header.append(f"# params: n={args.n} tiers={args.tiers or '-'} "
                       f"tie_cap={args.tie_cap} density={args.density}")
@@ -275,8 +288,7 @@ def cmd_oracle(args) -> int:
     instance = _load_instance(args.instance)
     truth = parse_truth(_read(args.truth))
     if args.min_icr:
-        cost, interviews, matching = oracle_best_plan(
-            instance, truth, size_cap=args.cap if args.cap else 18)
+        cost, interviews, matching = oracle_best_plan(instance, truth, **_size_cap(args))
         print(f"cost={cost}")
         print(f"matching: {_matching_str(matching)}")
     else:
@@ -285,8 +297,7 @@ def cmd_oracle(args) -> int:
             return 2
         matching = parse_matching(_read(args.matching))
         cost, interviews = oracle_plan_for_matching(
-            instance, truth, matching, mode=args.mode,
-            size_cap=args.cap if args.cap else None)
+            instance, truth, matching, mode=args.mode, **_size_cap(args))
         print(f"cost={cost} mode={args.mode}")
     print("interviews: " + ("; ".join(f"{m} {w}" for m, w in sorted(interviews)) or "(none)"))
     return 0
@@ -303,8 +314,8 @@ BENCH_COLUMNS = ("instance_id", "family", "n_men", "n_women", "pbp_count",
 
 def _bench_trials(args):
     """Yield (instance_id, family, instance, truth, matching|None)."""
-    if args.family in ("vc3-smti", "vc3-smt"):
-        build = cover_market_smti if args.family == "vc3-smti" else cover_market_smt
+    build = GRAPH_BUILDERS.get(args.family)
+    if build:
         if args.graph_dir:
             paths = sorted(Path(args.graph_dir).glob("*.graph"))
             graphs = [parse_graph(p.read_text(encoding="utf-8")) for p in paths]
@@ -318,13 +329,8 @@ def _bench_trials(args):
             instance, truth, matching, _ = build(graph)
             yield gid, args.family, instance, truth, matching
     else:
-        if args.n is None:
-            raise BadParams("--n is required for random families")
-        tiers = [int(t) for t in args.tiers.split(",")] if args.tiers else None
-        for trial in range(args.trials):
-            instance, truth = generate(
-                args.family.replace("-", "_"), n=args.n, seed=args.seed + trial,
-                tiers=tiers, tie_cap=args.tie_cap, density=args.density)
+        seeds = range(args.seed, args.seed + args.trials)
+        for trial, (instance, truth) in enumerate(_generated(args, seeds)):
             yield f"{args.family}-{trial:04d}", args.family, instance, truth, None
 
 
@@ -356,8 +362,7 @@ def cmd_bench(args) -> int:
                 })
                 try:
                     oracle_cost, _ = oracle_plan_for_matching(
-                        instance, truth, matching,
-                        size_cap=args.cap if args.cap else None)
+                        instance, truth, matching, **_size_cap(args))
                     row["oracle_cost"] = oracle_cost
                 except SizeLimitExceeded:
                     row["oracle_cost"] = ""

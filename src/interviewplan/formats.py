@@ -265,42 +265,37 @@ def format_truth(profile: StrictProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matching(text: str) -> Matching:
+def _parse_pair(line: str, line_no: int) -> Pair:
+    """One ``man woman`` line, the two in either order, as a (man, woman)
+    pair."""
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise ParseError("expected 'man woman' per line", line_no)
+    a, b = (parse_agent(t, line_no) for t in tokens)
+    if a.side == b.side:
+        raise ParseError("pair is not man-woman", line_no)
+    return couple(a, b)
+
+
+def _parse_pairs(text: str) -> list[Pair]:
     pairs = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError("expected 'man woman' per line", line_no)
-        a, b = (parse_agent(t, line_no) for t in tokens)
-        if a.side == b.side:
-            raise ParseError("pair is not man-woman", line_no)
-        pairs.append(couple(a, b))
-    return Matching(pairs)
+        if line:
+            pairs.append(_parse_pair(line, line_no))
+    return pairs
+
+
+def parse_matching(text: str) -> Matching:
+    return Matching(_parse_pairs(text))
 
 
 def format_matching(matching: Matching) -> str:
-    if not matching.pairs:
-        return ""
-    return "\n".join(f"{m} {w}" for m, w in matching.pairs) + "\n"
+    return format_interviews(matching.pairs)
 
 
 def parse_interviews(text: str) -> frozenset[Pair]:
-    pairs = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ParseError("expected 'man woman' per line", line_no)
-        a, b = (parse_agent(t, line_no) for t in tokens)
-        if a.side == b.side:
-            raise ParseError("pair is not man-woman", line_no)
-        pairs.add(couple(a, b))
-    return frozenset(pairs)
+    return frozenset(_parse_pairs(text))
 
 
 def format_interviews(interviews: Iterable[Pair]) -> str:
@@ -395,11 +390,7 @@ def parse_certificate(text: str) -> tuple[dict[str, int | str], frozenset[Pair],
             value = value.strip()
             meta[key.strip()] = int(value) if value.isdigit() else value
         else:
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise ParseError("expected 'man woman' per line", line_no)
-            a, b = (parse_agent(t, line_no) for t in tokens)
-            interviews.add(couple(a, b))
+            interviews.add(_parse_pair(line, line_no))
     if section != "refined":
         raise ParseError("certificate has no refined section")
     refined = parse_instance("\n".join(refined_lines), base=False)

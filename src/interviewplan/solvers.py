@@ -6,13 +6,14 @@ mandated matched pair interviews, and a minimum vertex cover of the
 matched-pair graph chooses which remaining pairs interview.  The cover step
 carries all the hardness.  Structured markets keep it trivial (an empty
 graph, paths and cycles, or disjoint cliques).  In general one exact size
-search per component guides a greedy walk to the lexicographically least
-minimum cover.  The search works on bitmask vertex sets: reductions from a
-worklist (degree 0, degree 1, degree 2 in a triangle), a split into
-components, closed forms for paths, cycles and cliques, and branching on a
-vertex of highest degree, with every size memoized for the length of the
-walk.  It runs from an explicit stack and gives up with
-``SizeLimitExceeded`` after ``COVER_NODE_BUDGET`` search nodes.
+search per call guides a greedy walk through each component to the
+lexicographically least minimum cover.  The search works on bitmask vertex
+sets: reductions from a worklist (degree 0, degree 1, degree 2 in a
+triangle), a split into components, closed forms for paths, cycles and
+cliques, and branching on a vertex of highest degree, with every size
+memoized for the length of the call.  It runs from an explicit stack and
+gives up with ``SizeLimitExceeded`` after ``COVER_NODE_BUDGET`` search
+nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Generator, Sequence
+from typing import Collection, Generator, Iterator
 
 from .blockers import BlockerReport, analyze_blockers, cover_graph
 from .errors import InternalAssumptionViolated, SizeLimitExceeded
@@ -87,75 +88,57 @@ def naive_cost(instance: Instance) -> int:
 # exact minimum vertex cover
 
 
-def _components(edges: Sequence[tuple]) -> list[tuple[list, list]]:
-    """Connected components of the graph the edges span, as sorted
-    (vertices, edges) lists; isolated vertices never need covering."""
-    adj: dict = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    comp_of: dict = {}
-    comps: list = []
-    for start in adj:
-        if start in comp_of:
-            continue
-        comp_of[start] = len(comps)
-        comp = [start]
-        stack = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in comp_of:
-                    comp_of[u] = len(comps)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(comp)
-    comp_edges: list = [[] for _ in comps]
-    for e in edges:
-        comp_edges[comp_of[e[0]]].append(e)
-    return [(sorted(c), sorted(es)) for c, es in zip(comps, comp_edges)]
-
-
-def _is_clique(vertices: Sequence, edges: Sequence[tuple]) -> bool:
-    n = len(vertices)
-    return n >= 2 and len(edges) == n * (n - 1) // 2
-
-
 class _CoverSearch:
-    """Exact minimum vertex cover sizes of the subgraphs one component's
-    vertex sets induce.
+    """Exact minimum vertex cover sizes of the subgraphs that vertex sets of
+    one graph induce.
 
-    ``load`` indexes a component's vertices in sorted order: ``adj[i]`` is
-    the bitmask of vertex ``i``'s neighbours, and a vertex set is an int
-    bitmask.  ``size(s)`` is the minimum cover size of the subgraph ``s``
-    induces, memoized by ``s`` until the next ``load``.  A query first
-    applies the reductions: drop degree-0 vertices, and take the
-    neighbours of a degree-1 vertex or of a degree-2 vertex in a triangle,
-    as some minimum cover does.  It then splits what is left into
-    components.  A component whose degrees are all at most two needs
-    ``ceil(edges / 2)``, a clique all its vertices but one; otherwise the
-    search branches on a vertex ``v`` of highest degree: take ``v``, or
-    take its neighbours.  Each search node is a generator that yields the
-    vertex sets it needs the sizes of, driven from an explicit stack, so a
-    deep search never recurses.  Every node expanded since construction
-    counts against ``COVER_NODE_BUDGET``.
+    The constructor indexes the sorted endpoints of the edges: ``adj[i]`` is
+    the bitmask of vertex ``i``'s neighbours, a vertex set is an int
+    bitmask, and ``full`` is the set of every vertex.  ``size(s)`` is the
+    minimum cover size of the subgraph ``s`` induces, memoized by ``s`` for
+    the life of the search.  A query first applies the reductions: drop
+    degree-0 vertices, and take the neighbours of a degree-1 vertex or of a
+    degree-2 vertex in a triangle, as some minimum cover does.  It then
+    splits what is left into ``components``.  A component whose degrees are
+    all at most two needs ``ceil(edges / 2)``, a clique all its vertices but
+    one; otherwise the search branches on a vertex ``v`` of highest degree:
+    take ``v``, or take its neighbours.  Each search node is a generator
+    that yields the vertex sets it needs the sizes of, driven from an
+    explicit stack, so a deep search never recurses.  Every node expanded
+    since construction counts against ``COVER_NODE_BUDGET``.
     """
 
-    def __init__(self):
+    def __init__(self, edges: Collection[tuple]):
         self.nodes_left = COVER_NODE_BUDGET
-        self.adj: list[int] = []
-        self.memo: dict[int, int] = {}
-
-    def load(self, vertices: Sequence, edges: Sequence[tuple]) -> int:
-        """Search the graph the edges span over the sorted vertices from
-        now on; returns the set of all its vertices."""
-        index = {v: i for i, v in enumerate(vertices)}
-        adj = [0] * len(vertices)
+        self.vertices = sorted({v for e in edges for v in e})
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj = [0] * len(index)
         for u, v in edges:
             adj[index[u]] |= 1 << index[v]
             adj[index[v]] |= 1 << index[u]
         self.adj = adj
-        self.memo = {}
-        return (1 << len(vertices)) - 1
+        self.full = (1 << len(adj)) - 1
+        self.memo: dict[int, int] = {}
+
+    def members(self, s: int) -> list:
+        """The vertices of the set ``s``, in sorted order."""
+        return [v for i, v in enumerate(self.vertices) if s >> i & 1]
+
+    def components(self, s: int) -> Iterator[int]:
+        """The connected components of the subgraph ``s`` induces."""
+        adj = self.adj
+        while s:
+            comp = frontier = s & -s
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach |= adj[low.bit_length() - 1]
+                frontier = reach & s & ~comp
+                comp |= frontier
+            s ^= comp
+            yield comp
 
     def size(self, s: int) -> int:
         memo = self.memo
@@ -206,18 +189,7 @@ class _CoverSearch:
                     w = nbrs & -nbrs
                     nbrs ^= w
                     work |= adj[w.bit_length() - 1] & s
-        rest = s
-        while rest:
-            comp = frontier = rest & -rest
-            while frontier:
-                reach = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    reach |= adj[low.bit_length() - 1]
-                frontier = reach & rest & ~comp
-                comp |= frontier
-            rest ^= comp
+        for comp in self.components(s):
             if comp != whole:
                 # reduced and connected: a query of its own, memoized
                 taken += yield comp, 0
@@ -258,51 +230,54 @@ def min_vertex_cover(graph) -> tuple:
     """An exact minimum vertex cover, lexicographically least among the
     minimum covers.
 
-    One greedy walk per connected component, guided by the exact sizes of
-    a ``_CoverSearch`` whose memo lasts the walk.  With ``k`` the
-    component's minimum cover size, the vertices are visited in sorted
-    order and ``s`` holds those not yet decided.  A vertex ``v`` with a
-    neighbour in ``s`` joins the cover when the vertices chosen so far,
-    ``v`` itself and a minimum cover of ``s - v`` total ``k``; otherwise no
-    minimum cover extending the choices so far contains it, so its
-    neighbours in ``s`` join instead.  A vertex with none is skipped.  A
-    clique's minimum covers are its vertices but one, so its least one
-    leaves out the largest vertex, with no walk.
+    One ``_CoverSearch`` over the graph, whose memo lasts the call, guides
+    one greedy walk per connected component.  With ``k`` the component's
+    minimum cover size, the vertices are visited in sorted order and ``s``
+    holds those not yet decided.  A vertex ``v`` with a neighbour in ``s``
+    joins the cover when the vertices chosen so far, ``v`` itself and a
+    minimum cover of ``s - v`` total ``k``; otherwise no minimum cover
+    extending the choices so far contains it, so its neighbours in ``s``
+    join instead.  A vertex with none is skipped.  A clique's minimum
+    covers are its vertices but one, so its least one leaves out the
+    largest vertex, with no search node.
 
-    Raises ``SizeLimitExceeded`` when the searches of all components
-    together expand more than ``COVER_NODE_BUDGET`` nodes.
+    Raises ``SizeLimitExceeded`` when the call expands more than
+    ``COVER_NODE_BUDGET`` search nodes.
     """
-    edges = sorted(tuple(sorted(e)) for e in graph.edges)
-    cover: list = []
-    search = _CoverSearch()
-    for comp_vertices, comp_edges in _components(edges):
-        if _is_clique(comp_vertices, comp_edges):
-            cover.extend(comp_vertices[:-1])
+    search = _CoverSearch(graph.edges)
+    adj = search.adj
+    cover = 0
+    for comp in search.components(search.full):
+        bits = comp
+        while bits:
+            low = bits & -bits
+            if adj[low.bit_length() - 1] | low != comp:
+                break
+            bits ^= low
+        if not bits:
+            # a clique: every vertex but the highest
+            cover |= comp ^ (1 << comp.bit_length() - 1)
             continue
-        s = search.load(comp_vertices, comp_edges)
-        k = search.size(s)
-        adj = search.adj
-        chosen: list = []
-        for i, v in enumerate(comp_vertices):
-            if not s >> i & 1:
-                continue
-            s ^= 1 << i
-            nbrs = adj[i] & s
+        k = search.size(comp)
+        # every vertex below the lowest undecided one has been decided
+        s = comp
+        chosen = 0
+        while s:
+            low = s & -s
+            s ^= low
+            nbrs = adj[low.bit_length() - 1] & s
             if not nbrs:
                 continue
-            if len(chosen) + 1 + search.size(s) == k:
-                chosen.append(v)
+            if chosen.bit_count() + 1 + search.size(s) == k:
+                chosen |= low
             else:
                 s &= ~nbrs
-                while nbrs:
-                    low = nbrs & -nbrs
-                    nbrs ^= low
-                    chosen.append(comp_vertices[low.bit_length() - 1])
-        if len(chosen) != k:
+                chosen |= nbrs
+        if chosen.bit_count() != k:
             raise InternalAssumptionViolated(
-                f"greedy cover has {len(chosen)} vertices, the minimum is {k}")
-        cover.extend(chosen)
-    return tuple(sorted(cover))
+                f"greedy cover has {chosen.bit_count()} vertices, the minimum is {k}")
+        cover |= chosen
+    return tuple(search.members(cover))
 
 
 # ---------------------------------------------------------------------------

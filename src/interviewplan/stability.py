@@ -27,7 +27,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from .errors import InvalidMatching, SizeLimitExceeded
 from .model import (
@@ -202,6 +202,8 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
     exhaust their lists and stay unmatched when nobody acceptable remains.
     """
     proposers = sorted(a for a in truth.ranking if a.side == proposing)
+    # each holder's true rank map, bound on its first proposal
+    ranks: dict[Agent, Mapping[Agent, int]] = {}
     engaged: dict[Agent, Agent] = {}
     next_choice = {p: 0 for p in proposers}
     free = deque(proposers)
@@ -211,13 +213,16 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
         while next_choice[p] < len(prefs):
             c = prefs[next_choice[p]]
             next_choice[p] += 1
-            if p not in truth.ranks(c):
+            ranks_c = ranks.get(c)
+            if ranks_c is None:
+                ranks_c = ranks[c] = truth.ranks(c)
+            if p not in ranks_c:
                 continue
             holder = engaged.get(c)
             if holder is None:
                 engaged[c] = p
                 break
-            if truth.prefers(c, p, holder):
+            if ranks_c[p] < ranks_c[holder]:
                 engaged[c] = p
                 free.append(holder)
                 break
@@ -227,6 +232,8 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
 def weakly_stable_under(truth: StrictProfile, matching: Matching) -> bool:
     """No pair of mutually acceptable agents both truly prefer each other
     to their situation under the matching."""
+    # each woman's true rank map, bound on her first visit
+    ranks: dict[Agent, Mapping[Agent, int]] = {}
     for m in sorted(a for a in truth.ranking if a.side == MAN):
         ranks_m = truth.ranks(m)
         pm = matching.partner(m)
@@ -234,7 +241,9 @@ def weakly_stable_under(truth: StrictProfile, matching: Matching) -> bool:
         for w in truth.ranking[m]:
             if ranks_m[w] >= limit:
                 break
-            ranks_w = truth.ranks(w)
+            ranks_w = ranks.get(w)
+            if ranks_w is None:
+                ranks_w = ranks[w] = truth.ranks(w)
             if m not in ranks_w:
                 continue
             pw = matching.partner(w)

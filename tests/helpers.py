@@ -155,11 +155,11 @@ def check_resolution_equivalence(inst, truth, mu):
     return tried
 
 
-def search_cover_size(vertices, edges):
-    """Minimum vertex cover size of the graph the edges span over the sorted
-    vertices, by the solver's memoized search."""
-    search = _CoverSearch()
-    return search.size(search.load(vertices, edges))
+def search_cover_size(edges):
+    """Minimum vertex cover size of the graph the edges span, by the
+    solver's memoized search."""
+    search = _CoverSearch(edges)
+    return search.size(search.full)
 
 
 def _matching_lower_bound(edges):
@@ -225,6 +225,68 @@ def bb_cover_size(vertices, edges):
         adj0[v].add(u)
     solve(adj0, 0)
     return best
+
+
+def _components(edges):
+    """Connected components of the graph the edges span, as sorted
+    (vertices, edges) lists."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    comp_of = {}
+    comps = []
+    for start in adj:
+        if start in comp_of:
+            continue
+        comp_of[start] = len(comps)
+        comp = [start]
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in comp_of:
+                    comp_of[u] = len(comps)
+                    comp.append(u)
+                    stack.append(u)
+        comps.append(comp)
+    comp_edges = [[] for _ in comps]
+    for e in edges:
+        comp_edges[comp_of[e[0]]].append(e)
+    return [(sorted(c), sorted(es)) for c, es in zip(comps, comp_edges)]
+
+
+def reference_min_vertex_cover(graph):
+    """The lexicographically least minimum vertex cover by the solver's walk
+    before one search served the whole call: components by a dict-of-sets
+    search, a clique (by its edge count) keeps all its vertices but the
+    largest, and any other component runs the greedy walk over its sorted
+    vertices, with each size from :func:`bb_cover_size`."""
+    edges = sorted(tuple(sorted(e)) for e in graph.edges)
+    cover = []
+    for vertices, comp_edges in _components(edges):
+        n = len(vertices)
+        if len(comp_edges) == n * (n - 1) // 2:
+            cover.extend(vertices[:-1])
+            continue
+        k = bb_cover_size(vertices, comp_edges)
+        undecided = set(vertices)
+        chosen = []
+        for v in vertices:
+            if v not in undecided:
+                continue
+            undecided.discard(v)
+            nbrs = sorted({u for e in comp_edges if v in e for u in e} & undecided)
+            if not nbrs:
+                continue
+            rest = [(a, b) for a, b in comp_edges if a in undecided and b in undecided]
+            if len(chosen) + 1 + bb_cover_size(sorted(undecided), rest) == k:
+                chosen.append(v)
+            else:
+                undecided -= set(nbrs)
+                chosen.extend(nbrs)
+        assert len(chosen) == k, (graph, chosen, k)
+        cover.extend(chosen)
+    return tuple(sorted(cover))
 
 
 def full_validate(instance):

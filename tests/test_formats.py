@@ -12,6 +12,7 @@ from interviewplan.formats import (
     format_interviews,
     format_matching,
     format_truth,
+    parse_certificate,
     parse_graph,
     parse_instance,
     parse_interviews,
@@ -141,6 +142,17 @@ def test_truth_matching_interviews_roundtrip(fig1):
 def test_matching_rejects_same_side_pair():
     with pytest.raises(ParseError):
         parse_matching("m1 m2\n")
+
+
+def test_every_pair_reader_rejects_a_same_side_pair_with_its_line():
+    # the interview section of a certificate is read like a matching
+    certificate = "cost: 1\ninterviews:\nm1 w1\nm1 m2\nrefined:\n"
+    for parse, text, line in ((parse_matching, "m1 w1\nw2 w1\n", 2),
+                              (parse_interviews, "\n# note\nm1 m2\n", 3),
+                              (parse_certificate, certificate, 4)):
+        with pytest.raises(ParseError, match="pair is not man-woman") as err:
+            parse(text)
+        assert err.value.line == line, parse.__name__
 
 
 def test_graph_roundtrip():

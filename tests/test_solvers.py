@@ -1,7 +1,7 @@
 import warnings
 
 import pytest
-from helpers import bb_cover_size, edge_twin, search_cover_size
+from helpers import bb_cover_size, edge_twin, reference_min_vertex_cover, search_cover_size
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ from interviewplan.model import MAN, WOMAN, Relation, man, woman
 from interviewplan.oracles import brute_force_cover, oracle_plan_for_matching
 from interviewplan.solvers import (
     PlanStructure,
-    _components,
+    _CoverSearch,
     best_plan,
     detect_structure,
     min_vertex_cover,
@@ -36,6 +36,25 @@ def graph(n, edges):
 
 def complete_graph(n):
     return graph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+
+
+@st.composite
+def bounded_graphs_and_cliques(draw):
+    """A disjoint union, on at most 40 vertices relabelled at random, of
+    random graphs of max degree 3-4 and cliques K2-K8."""
+    edges, n = [], 0
+    while n < 39 and (not edges or draw(st.booleans())):
+        if draw(st.booleans()):
+            size = draw(st.integers(2, min(8, 40 - n)))
+            part = complete_graph(size)
+        else:
+            size = draw(st.integers(2, 40 - n))
+            part = random_bounded_graph(size, draw(st.integers(3, 4)),
+                                        draw(st.integers(0, 10**6)))
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += size
+    label = draw(st.permutations(range(1, n + 1)))
+    return graph(n, [(label[u - 1], label[v - 1]) for u, v in edges])
 
 
 class TestMinVertexCover:
@@ -81,9 +100,11 @@ class TestMinVertexCover:
         graphs += [graph(n, [(i, i % n + 1) for i in range(1, n + 1)]) for n in range(3, 10)]
         graphs += [complete_graph(n) for n in range(2, 8)]
         for g in graphs:
-            for comp_vertices, comp_edges in _components(sorted(g.edges)):
-                assert (search_cover_size(comp_vertices, comp_edges)
-                        == bb_cover_size(comp_vertices, comp_edges)), g
+            search = _CoverSearch(g.edges)
+            for comp in search.components(search.full):
+                comp_vertices = search.members(comp)
+                comp_edges = sorted(e for e in g.edges if e[0] in comp_vertices)
+                assert search.size(comp) == bb_cover_size(comp_vertices, comp_edges), g
 
     def test_equals_brute_force_on_bounded_graphs(self):
         for seed in range(300):
@@ -111,7 +132,7 @@ class TestMinVertexCover:
         assert all(u in cover or v in cover for u, v in g.edges)
         vertices, edges = sorted(g.vertices), sorted(g.edges)
         assert len(cover) == bb_cover_size(vertices, edges)
-        assert search_cover_size(vertices, edges) == len(cover)
+        assert search_cover_size(edges) == len(cover)
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(st.integers(min_value=1, max_value=12).flatmap(
@@ -122,8 +143,7 @@ class TestMinVertexCover:
     def test_search_size_equals_brute_force(self, spec):
         n, edges = spec
         g = graph(n, edges)
-        assert (search_cover_size(list(g.vertices), sorted(g.edges))
-                == len(brute_force_cover(g)))
+        assert search_cover_size(sorted(g.edges)) == len(brute_force_cover(g))
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=2, max_value=4),
@@ -131,7 +151,12 @@ class TestMinVertexCover:
     def test_search_size_equals_branch_and_bound(self, n, max_degree, seed):
         g = random_bounded_graph(n, max_degree, seed)
         vertices, edges = list(g.vertices), sorted(g.edges)
-        assert search_cover_size(vertices, edges) == bb_cover_size(vertices, edges)
+        assert search_cover_size(edges) == bb_cover_size(vertices, edges)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(bounded_graphs_and_cliques())
+    def test_equals_per_component_reference(self, g):
+        assert min_vertex_cover(g) == reference_min_vertex_cover(g)
 
     def test_pinned_covers_of_benchmark_sized_graphs(self):
         # the covers the unmemoized branch and bound guided the walk to
