@@ -32,7 +32,7 @@ from .model import (
     Pair,
     StrictProfile,
 )
-from .stability import _very_weak_blockers, check_matching, weakly_stable_under
+from .stability import _open, _very_weak_blockers, check_matching, weakly_stable_under
 
 
 class PotentialBlocker(NamedTuple):
@@ -134,7 +134,7 @@ def analyze_blockers(instance: Instance, truth: StrictProfile,
     blockers = []
     admirers: dict[Agent, set[Agent]] = {}
     cuts: dict[Agent, tuple[Mapping[Agent, int], int]] = {}
-    for m, w in _very_weak_blockers(instance, matching, instance.acceptable_pairs()):
+    for m, w in _very_weak_blockers(instance, matching):
         ranks, cut = cuts.get(m) or cuts.setdefault(m, _true_cut(truth, matching, m))
         man_keen = ranks[w] < cut
         ranks, cut = cuts.get(w) or cuts.setdefault(w, _true_cut(truth, matching, w))
@@ -225,5 +225,9 @@ def is_resolved(refined: Instance, blocker: PotentialBlocker,
                 matching: Matching) -> bool:
     """True when the blocker no longer very weakly blocks the matching in
     the refined knowledge state: a matched member now provably prefers its
-    own partner to the other member."""
-    return not any(_very_weak_blockers(refined, matching, (blocker.pair,)))
+    own partner to the other member.  Each member's open set is built as
+    the scan builds it, so the test costs one set per member, not a scan."""
+    m, w = blocker.pair
+    relations, partner = refined.relations, matching.partner
+    return (w not in _open(relations[m], partner(m))
+            or m not in _open(relations[w], partner(w)))

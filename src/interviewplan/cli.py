@@ -214,8 +214,8 @@ def cmd_check(args) -> int:
             print(f"  super-stability matches every-completion stability: "
                   f"{'yes' if agree else 'NO'}")
             failed |= not agree
-        except SizeLimitExceeded:
-            print("  super-stability vs completions: skipped (too many completions)")
+        except SizeLimitExceeded as err:
+            print(f"  super-stability vs completions: skipped ({err})")
 
     if refined is not None and matching is not None:
         verdict = is_stable(refined, matching, Stability.SUPER)
@@ -224,8 +224,8 @@ def cmd_check(args) -> int:
     elif refined is not None:
         try:
             found = find_super_stable(refined, size_cap=args.cap)
-        except SizeLimitExceeded:
-            print("refined admits super-stable matching: skipped (over cap)")
+        except SizeLimitExceeded as err:
+            print(f"refined admits super-stable matching: skipped ({err})")
         else:
             if found is None:
                 print("refined admits super-stable matching: NO")

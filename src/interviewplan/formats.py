@@ -41,6 +41,16 @@ def parse_agent(token: str, line: int | None = None) -> Agent:
     return Agent(side, int(token[1:]))
 
 
+def _agent(seen: dict[str, Agent], token: str, line: int) -> Agent:
+    """``parse_agent`` with the agents of one file kept by token, so that
+    each distinct token is parsed once; a bad token is never kept, so it
+    raises where it first appears."""
+    a = seen.get(token)
+    if a is None:
+        a = seen[token] = parse_agent(token, line)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # instances
 
@@ -62,6 +72,7 @@ def parse_instance(text: str, base: bool = True,
     accepts: dict[Agent, list[Agent]] = {}
     classes: dict[Agent, list[list[Agent]]] = {}
     prefers: dict[Agent, list[Pair]] = {}
+    seen: dict[str, Agent] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -81,9 +92,9 @@ def parse_instance(text: str, base: bool = True,
         if kind is None or n_men is None or n_women is None:
             raise ParseError("body before kind/men/women header", line_no)
         if kind == "smti":
-            _parse_smti_line(line, line_no, classes)
+            _parse_smti_line(line, line_no, classes, seen)
         else:
-            _parse_smpi_line(line, line_no, accepts, prefers)
+            _parse_smpi_line(line, line_no, accepts, prefers, seen)
 
     if kind is None or n_men is None or n_women is None:
         raise ParseError("missing kind/men/women header")
@@ -115,11 +126,12 @@ def _parse_count(line: str, line_no: int) -> int:
 
 
 def _parse_smti_line(line: str, line_no: int,
-                     classes: dict[Agent, list[list[Agent]]]) -> None:
+                     classes: dict[Agent, list[list[Agent]]],
+                     seen: dict[str, Agent]) -> None:
     if ":" not in line:
         raise ParseError("expected 'agent: classes'", line_no)
     head, _, body = line.partition(":")
-    a = parse_agent(head.strip(), line_no)
+    a = _agent(seen, head.strip(), line_no)
     if a in classes:
         raise ParseError(f"duplicate line for {a}", line_no)
     out: list[list[Agent]] = []
@@ -136,7 +148,7 @@ def _parse_smti_line(line: str, line_no: int,
             out.append(sorted(group))
             group = None
         else:
-            c = parse_agent(tok, line_no)
+            c = _agent(seen, tok, line_no)
             if group is None:
                 out.append([c])
             else:
@@ -151,19 +163,20 @@ def _parse_smti_line(line: str, line_no: int,
 
 def _parse_smpi_line(line: str, line_no: int,
                      accepts: dict[Agent, list[Agent]],
-                     prefers: dict[Agent, list[Pair]]) -> None:
+                     prefers: dict[Agent, list[Pair]],
+                     seen: dict[str, Agent]) -> None:
     if "accepts:" in line:
         head, _, body = line.partition("accepts:")
-        a = parse_agent(head.strip(), line_no)
+        a = _agent(seen, head.strip(), line_no)
         if a in accepts:
             raise ParseError(f"duplicate accepts line for {a}", line_no)
-        cands = [parse_agent(t, line_no) for t in body.split()]
+        cands = [_agent(seen, t, line_no) for t in body.split()]
         if len(set(cands)) != len(cands):
             raise ParseError(f"candidate repeated for {a}", line_no)
         accepts[a] = cands
     elif "prefers:" in line:
         head, _, body = line.partition("prefers:")
-        a = parse_agent(head.strip(), line_no)
+        a = _agent(seen, head.strip(), line_no)
         for chunk in body.split(","):
             chunk = chunk.strip()
             if not chunk:
@@ -172,7 +185,7 @@ def _parse_smpi_line(line: str, line_no: int,
             if len(parts) != 2:
                 raise ParseError(f"expected 'c1 > c2', got {chunk!r}", line_no)
             prefers.setdefault(a, []).append(
-                (parse_agent(parts[0], line_no), parse_agent(parts[1], line_no)))
+                (_agent(seen, parts[0], line_no), _agent(seen, parts[1], line_no)))
     else:
         raise ParseError("expected an 'accepts:' or 'prefers:' line", line_no)
 
@@ -240,6 +253,7 @@ def format_instance(instance: Instance, style: str | None = None) -> str:
 
 def parse_truth(text: str) -> StrictProfile:
     ranking: dict[Agent, tuple[Agent, ...]] = {}
+    seen: dict[str, Agent] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
         if not line:
@@ -247,10 +261,10 @@ def parse_truth(text: str) -> StrictProfile:
         if ":" not in line:
             raise ParseError("expected 'agent: candidates'", line_no)
         head, _, body = line.partition(":")
-        a = parse_agent(head.strip(), line_no)
+        a = _agent(seen, head.strip(), line_no)
         if a in ranking:
             raise ParseError(f"duplicate ranking for {a}", line_no)
-        seq = tuple(parse_agent(t, line_no) for t in body.split())
+        seq = tuple(_agent(seen, t, line_no) for t in body.split())
         if len(set(seq)) != len(seq):
             raise ParseError(f"candidate repeated for {a}", line_no)
         ranking[a] = seq

@@ -61,10 +61,7 @@ def _apply_unchecked(instance: Instance, truth: StrictProfile,
         if len(cands) < 2:
             continue
         rels[a] = rels[a].learn(sorted(cands, key=truth.ranks(a).__getitem__))
-    refined = Instance(instance.n_men, instance.n_women, rels, base=False)
-    # learning keeps every acceptable set, so the pair list carries over
-    refined._pairs = instance._pairs
-    return refined
+    return Instance(instance.n_men, instance.n_women, rels, base=False)
 
 
 def apply_interviews(instance: Instance, truth: StrictProfile,

@@ -215,15 +215,18 @@ class Instance:
     objects.
     """
 
-    __slots__ = ("n_men", "n_women", "relations", "base", "_pairs", "_kind", "_ties")
+    __slots__ = ("n_men", "n_women", "relations", "base", "_men", "_women",
+                 "_pairs", "_kind", "_ties")
 
     def __init__(self, n_men: int, n_women: int,
                  relations: Mapping[Agent, Relation], base: bool = True):
         self.n_men = n_men
         self.n_women = n_women
+        # each agent is built once here; men(), women() and agents() copy these
+        self._men = tuple(man(i) for i in range(1, n_men + 1))
+        self._women = tuple(woman(j) for j in range(1, n_women + 1))
         rels = dict(relations)
-        for a in itertools.chain((man(i) for i in range(1, n_men + 1)),
-                                 (woman(j) for j in range(1, n_women + 1))):
+        for a in itertools.chain(self._men, self._women):
             if a not in rels:
                 rels[a] = relation(a, ())
         self.relations = rels
@@ -233,13 +236,13 @@ class Instance:
         self._ties = None
 
     def men(self) -> list[Agent]:
-        return [man(i) for i in range(1, self.n_men + 1)]
+        return list(self._men)
 
     def women(self) -> list[Agent]:
-        return [woman(j) for j in range(1, self.n_women + 1)]
+        return list(self._women)
 
     def agents(self) -> list[Agent]:
-        return self.men() + self.women()
+        return [*self._men, *self._women]
 
     def acceptable_pairs(self) -> tuple[Pair, ...]:
         """All mutually acceptable (man, woman) pairs, sorted."""
@@ -281,7 +284,7 @@ class TieStructure:
     classes: tuple[frozenset[Agent], ...]
 
     def max_size(self) -> int:
-        return max((len(c) for c in self.classes), default=0)
+        return max(map(len, self.classes), default=0)
 
     def as_edges(self) -> frozenset[Pair]:
         """Every (better, worse) pair across classes; none within a class."""

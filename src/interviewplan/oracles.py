@@ -69,7 +69,7 @@ def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
         for extra in itertools.combinations(universe, k):
             chosen = base | frozenset(extra)
             refined = _apply_unchecked(instance, truth, chosen)
-            if not any(_very_weak_blockers(refined, matching, pairs)):
+            if not any(_very_weak_blockers(refined, matching)):
                 return len(chosen), chosen
     raise InternalAssumptionViolated("interviewing every pair must succeed")
 
@@ -97,7 +97,7 @@ def oracle_best_plan(instance: Instance, truth: StrictProfile,
         for chosen in itertools.combinations(sorted_pairs, k):
             chosen_set = frozenset(chosen)
             refined = _apply_unchecked(instance, truth, chosen_set)
-            if any(not any(_very_weak_blockers(refined, mu, pairs)) for mu in candidates):
+            if any(not any(_very_weak_blockers(refined, mu)) for mu in candidates):
                 witness = find_super_stable(refined, matching_cap)
                 if witness is None:
                     raise InternalAssumptionViolated(
@@ -112,12 +112,11 @@ def find_super_stable(instance: Instance, size_cap: int = 8) -> Optional[Matchin
     if instance.n_men > size_cap or instance.n_women > size_cap:
         raise SizeLimitExceeded(
             f"{instance.n_men}x{instance.n_women} exceeds the cap of {size_cap} per side")
-    pairs = instance.acceptable_pairs()
     best: Optional[tuple[Pair, ...]] = None
     for candidate in iter_matchings(instance):
         if best is not None and candidate >= best:
             continue
-        if not any(_very_weak_blockers(instance, Matching(candidate), pairs)):
+        if not any(_very_weak_blockers(instance, Matching(candidate))):
             best = candidate
     return Matching(best) if best is not None else None
 

@@ -14,11 +14,13 @@ One scan, :func:`_very_weak_blockers`, decides very weak blocking; every
 strong or weak blocker is also a very weak one, so the other levels are
 filters over it.  Like Irving's super-stability algorithm, the scan reads
 each agent's position relative to its partner rather than comparing pair
-by pair: the first time it reaches a matched agent it builds the agent's
-settled set, the candidates ranked after the partner by class level or by
-learned (met) rank.  A pair is then settled on a member's side by one set
-membership, or by the member's explicit ``extra`` edge from its partner,
-tested per pair so that an edge-built relation is never expanded.
+by pair.  An agent's open candidates are every acceptable one when it is
+unmatched, and otherwise those it does not prefer its partner to: not in
+a class after the partner's, not met and ranked after the partner, and not
+below the partner by an explicit ``extra`` edge, tested per candidate so
+that an edge-built relation is never expanded.  A pair very weakly blocks
+exactly when each member is open to the other.  The scan walks only each
+man's open candidates, so it never lists every acceptable pair.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
+from typing import AbstractSet, Iterator, Mapping, Optional
 
 from .errors import InvalidMatching, SizeLimitExceeded
 from .model import (
@@ -112,59 +114,54 @@ def _qualifies(level: Blocking, man_att: Attitude, woman_att: Attitude) -> bool:
     return man_att in _KEEN and woman_att in _KEEN
 
 
-# how the scan sees one agent: its partner, the candidates it ranks after
-# that partner by class level or met rank, and its relation's extra edges
-_Side = tuple[Optional[Agent], AbstractSet[Agent], AbstractSet[Pair]]
-_UNMATCHED: _Side = (None, frozenset(), frozenset())
+def _open(rel: Relation, partner: Optional[Agent]) -> AbstractSet[Agent]:
+    """The owner's open candidates: every acceptable one when unmatched;
+    otherwise those it does not prefer its partner to, the partner
+    excluded.  It prefers the partner to everyone in a later class, every
+    met candidate ranked after the partner and every ``c`` with an extra
+    edge ``(partner, c)``, which is exactly ``prefers(partner, c)``."""
+    if partner is None:
+        return rel.acceptable
+    at, rank = rel.level.get(partner), rel.rank.get(partner)
+    later = rel.classes[at + 1:] if at is not None else ()
+    met_after = rel.met[rank + 1:] if rank is not None else ()
+    out = rel.acceptable.difference((partner,), met_after, *later)
+    extra = rel.extra
+    if extra:
+        # tested per candidate, so an edge-built relation is never expanded
+        return {c for c in out if (partner, c) not in extra}
+    return out
 
 
-def _side(rel: Relation, partner: Agent) -> _Side:
-    """The owner's partner, its settled set (everyone in a class after the
-    partner's and every met candidate ranked after it) and its ``extra``
-    edges, which the set leaves out."""
-    after = set()
-    at = rel.level.get(partner)
-    if at is not None:
-        after.update(*rel.classes[at + 1:])
-    rank = rel.rank.get(partner)
-    if rank is not None:
-        after.update(rel.met[rank + 1:])
-    return partner, after, rel.extra
-
-
-def _very_weak_blockers(instance: Instance, matching: Matching,
-                        pairs: Iterable[Pair]) -> Iterator[Pair]:
-    # Unchecked: the caller validates the matching and passes acceptable
-    # pairs.  A pair blocks unless matched or settled by a partner's edge.
-    # The first time the scan reaches an agent it binds the agent's side:
-    # the partner, read from the matching's map, the settled set and the
-    # extra edges.  ``c in settled or (partner, c) in extra`` is exactly
-    # ``prefers(partner, c)``: a level, then a rank, then extra.  extra is
-    # tested per pair, so an edge-built relation is never expanded.
+def _very_weak_blockers(instance: Instance, matching: Matching) -> Iterator[Pair]:
+    # Unchecked: the caller validates the matching.  A pair very weakly
+    # blocks when each member leaves the other open, which also makes it
+    # mutually acceptable and unmatched.  Each man, in index order, reads
+    # only his open candidates; a woman's open set is built the first time
+    # the scan reaches her.  Each man's women are sorted, so the pairs come
+    # in ascending order, as in ``Instance.acceptable_pairs``.
     relations = instance.relations
     partner = matching._of.get
-    sides: dict[Agent, _Side] = {}
-    for m, w in pairs:
-        side = sides.get(m)
-        if side is None:
-            pm = partner(m)
-            side = sides[m] = _UNMATCHED if pm is None else _side(relations[m], pm)
-        pm, settled, extra = side
-        if pm is not None and (pm == w or w in settled or extra and (pm, w) in extra):
-            continue
-        side = sides.get(w)
-        if side is None:
-            pw = partner(w)
-            side = sides[w] = _UNMATCHED if pw is None else _side(relations[w], pw)
-        pw, settled, extra = side
-        if pw is not None and (m in settled or extra and (pw, m) in extra):
-            continue
-        yield m, w
+    opens: dict[Agent, AbstractSet[Agent]] = {}
+    for m in instance.men():
+        found = []
+        for w in _open(relations[m], partner(m)):
+            open_w = opens.get(w)
+            if open_w is None:
+                rel = relations.get(w)
+                if rel is None:
+                    continue
+                open_w = opens[w] = _open(rel, partner(w))
+            if m in open_w:
+                found.append(w)
+        found.sort()
+        for w in found:
+            yield m, w
 
 
 def _blocking(instance: Instance, matching: Matching,
               level: Blocking) -> Iterator[BlockingPair]:
-    for m, w in _very_weak_blockers(instance, matching, instance.acceptable_pairs()):
+    for m, w in _very_weak_blockers(instance, matching):
         man_att = attitude(instance, m, w, matching)
         woman_att = attitude(instance, w, m, matching)
         if _qualifies(level, man_att, woman_att):
@@ -308,14 +305,15 @@ def extension_agreement(instance: Instance, matching: Matching,
     for a in agents:
         exts, overflow = linear_extensions(instance, a, cap=product_cap + 1)
         if overflow:
-            raise SizeLimitExceeded("too many linear extensions for one agent")
+            raise SizeLimitExceeded(
+                f"{a} has more than {product_cap} linear extensions")
         product *= len(exts)
         if product > product_cap:
-            raise SizeLimitExceeded("extension profile space exceeds the cap")
+            raise SizeLimitExceeded(
+                f"extension profile space exceeds the cap of {product_cap}")
         per_agent.append([{c: i for i, c in enumerate(ext)} for ext in exts])
 
-    super_verdict = not any(_very_weak_blockers(instance, matching,
-                                                instance.acceptable_pairs()))
+    super_verdict = not any(_very_weak_blockers(instance, matching))
     pairs = [(m, w) for m, w in instance.acceptable_pairs()
              if matching.partner(m) != w]
     index = {a: i for i, a in enumerate(agents)}

@@ -127,6 +127,53 @@ def prefers_scan(instance, matching, pairs):
     return out
 
 
+def _side(rel, partner):
+    """The owner's partner, its settled set (everyone in a class after the
+    partner's and every met candidate ranked after it) and its ``extra``
+    edges, which the set leaves out."""
+    after = set()
+    at = rel.level.get(partner)
+    if at is not None:
+        after.update(*rel.classes[at + 1:])
+    rank = rel.rank.get(partner)
+    if rank is not None:
+        after.update(rel.met[rank + 1:])
+    return partner, after, rel.extra
+
+
+_UNMATCHED = (None, frozenset(), frozenset())
+
+
+def pair_list_scan(instance, matching):
+    """The very weak blockers of the matching, by the scan that walked the
+    sorted list of every mutually acceptable pair: the first time it
+    reaches an agent it binds the agent's side, and a pair is settled on a
+    side by the partner, the settled set or an ``extra`` edge from the
+    partner.  The reference for the scan that reads only each man's open
+    candidates."""
+    relations = instance.relations
+    partner = matching._of.get
+    sides = {}
+    out = []
+    for m, w in instance.acceptable_pairs():
+        side = sides.get(m)
+        if side is None:
+            pm = partner(m)
+            side = sides[m] = _UNMATCHED if pm is None else _side(relations[m], pm)
+        pm, settled, extra = side
+        if pm is not None and (pm == w or w in settled or extra and (pm, w) in extra):
+            continue
+        side = sides.get(w)
+        if side is None:
+            pw = partner(w)
+            side = sides[w] = _UNMATCHED if pw is None else _side(relations[w], pw)
+        pw, settled, extra = side
+        if pw is not None and (m in settled or extra and (pw, m) in extra):
+            continue
+        out.append((m, w))
+    return out
+
+
 def check_resolution_equivalence(inst, truth, mu):
     """Over every interview subset: the target is super-stable exactly when
     no pair very weakly blocks it by :func:`spec_blocking_pairs`, a

@@ -142,6 +142,27 @@ class TestCheck:
         assert code == 1
         assert "admits super-stable matching: NO" in stdout
 
+    def test_completion_cross_check_names_its_cap_when_skipped(self, capsys, tmp_path):
+        # one man ties nine women: 9! orders exceed the extension cap
+        women = " ".join(f"w{j}" for j in range(1, 10))
+        inst = ("kind: smti\nmen: 1\nwomen: 9\n"
+                f"m1: ({women})\n" + "".join(f"w{j}: m1\n" for j in range(1, 10)))
+        (tmp_path / "tie9.instance").write_text(inst, encoding="utf-8")
+        (tmp_path / "tie9.matching").write_text("m1 w1\n", encoding="utf-8")
+        code, stdout, _ = run(capsys, "check", str(tmp_path / "tie9.instance"),
+                              "--matching", str(tmp_path / "tie9.matching"))
+        assert code == 0
+        assert ("  super-stability vs completions: skipped "
+                "(m1 has more than 100000 linear extensions)\n") in stdout
+
+    def test_existence_check_names_its_cap_when_skipped(self, capsys, fig1_files):
+        _, paths = fig1_files
+        code, stdout, _ = run(capsys, "check", paths["instance"],
+                              "--refined", paths["instance"], "--cap", "1")
+        assert code == 0
+        assert ("refined admits super-stable matching: skipped "
+                "(2x2 exceeds the cap of 1 per side)\n") in stdout
+
     def test_invalid_instance_reports_and_fails(self, capsys, tmp_path):
         bad = ("kind: smpi\nmen: 1\nwomen: 3\n"
                "m1 accepts: w1 w2 w3\nm1 prefers: w1 > w2, w2 > w3\n"

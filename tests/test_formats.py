@@ -124,6 +124,46 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("men: 2\nwomen: 2\nm1: w1\n")  # body before kind
 
 
+def test_each_distinct_agent_token_is_parsed_once(monkeypatch):
+    from interviewplan import formats
+
+    inst, truth = generate("master_ties", n=6, seed=1)
+    texts = {"smti": format_instance(inst, style="smti"),
+             "smpi": format_instance(inst, style="smpi")}
+    calls = []
+    parse_agent = formats.parse_agent
+
+    def counted(token, line=None):
+        calls.append(token)
+        return parse_agent(token, line)
+
+    monkeypatch.setattr(formats, "parse_agent", counted)
+    for text in texts.values():
+        calls.clear()
+        assert parse_instance(text) == inst
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == 12
+    calls.clear()
+    assert parse_truth(format_truth(truth)) == truth
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("text, line", [
+    # a bad token first seen as a candidate, after good tokens were kept
+    ("kind: smti\nmen: 1\nwomen: 2\nm1: w1 w2\nw1: m1\nw2: m1 x7\n", 6),
+    ("kind: smpi\nmen: 1\nwomen: 1\nm1 accepts: w1\nw1 accepts: m1\n"
+     "m1 prefers: w1 > wx\n", 6),
+    # a bad token repeated: the error names its first line
+    ("kind: smti\nmen: 1\nwomen: 1\nm1: w1 q1\nw1: m1 q1\n", 4),
+])
+def test_bad_agent_token_raises_on_its_first_line(text, line):
+    with pytest.raises(ParseError, match="bad agent token") as err:
+        parse_instance(text)
+    assert err.value.line == line
+    with pytest.raises(ParseError, match="bad agent token") as err:
+        parse_truth("m1: w1\nw1: m1 m2\nw2: zz m1\nw3: zz\n")
+    assert err.value.line == 3
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\nkind: smti\n\nmen: 1\nwomen: 1\nm1: w1  # note\nw1: m1\n"
     inst = parse_instance(text)

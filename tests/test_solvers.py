@@ -16,7 +16,17 @@ from interviewplan.generators import (
     generate,
     random_bounded_graph,
 )
-from interviewplan.model import MAN, WOMAN, Relation, man, woman
+from interviewplan.model import (
+    MAN,
+    WOMAN,
+    Instance,
+    Relation,
+    StrictProfile,
+    linear_extensions,
+    man,
+    validate_instance,
+    woman,
+)
 from interviewplan.oracles import brute_force_cover, oracle_plan_for_matching
 from interviewplan.solvers import (
     PlanStructure,
@@ -27,7 +37,13 @@ from interviewplan.solvers import (
     naive_cost,
     plan_for_matching,
 )
-from interviewplan.stability import Stability, gale_shapley, is_stable
+from interviewplan.stability import (
+    Blocking,
+    Stability,
+    blocking_pairs,
+    gale_shapley,
+    is_stable,
+)
 
 
 def graph(n, edges):
@@ -277,6 +293,44 @@ class TestPlanForMatching:
                 assert plan.cost == cost
                 assert is_stable(plan.refined, mu, Stability.SUPER)
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_general_partial_orders(self, data):
+        # edge-built base relations: a random sub-order of a hidden linear
+        # order, closed transitively, so not class-shaped in general; the
+        # truth is one linear extension per agent
+        draw = data.draw
+        n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        men = [man(i) for i in range(1, n_men + 1)]
+        women = [woman(j) for j in range(1, n_women + 1)]
+        pairs = [(m, w) for m in men for w in women if draw(st.booleans())][:10]
+        acceptable = {a: [] for a in men + women}
+        for m, w in pairs:
+            acceptable[m].append(w)
+            acceptable[w].append(m)
+        rels = {}
+        for a, cands in acceptable.items():
+            hidden = draw(st.permutations(cands))
+            edges = {(hidden[i], hidden[j]) for i in range(len(hidden))
+                     for j in range(i + 1, len(hidden)) if draw(st.booleans())}
+            closed = set(edges)
+            for mid in hidden:
+                closed |= {(hi, lo) for hi, m1 in closed if m1 == mid
+                           for m2, lo in closed if m2 == mid}
+            rels[a] = Relation(a, frozenset(cands), frozenset(closed))
+        inst = Instance(n_men, n_women, rels)
+        assert validate_instance(inst).ok
+        truth = StrictProfile({a: draw(st.sampled_from(linear_extensions(inst, a)[0]))
+                               for a in men + women})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no solver fallback expected
+            for side in (MAN, WOMAN):
+                mu = gale_shapley(truth, side)
+                plan = plan_for_matching(inst, truth, mu)
+                cost, _ = oracle_plan_for_matching(inst, truth, mu)
+                assert plan.cost == cost
+                assert is_stable(plan.refined, mu, Stability.SUPER)
+
     def test_cost_at_least_forced_interviews(self):
         for seed in range(60):
             inst, truth = generate("random_smti", n=4, seed=seed,
@@ -448,6 +502,36 @@ class TestClassBuiltMarkets:
         monkeypatch.undo()
         assert plan.report.blockers and len(inst.acceptable_pairs()) == 900
         assert calls < len(inst.agents())
+
+    def test_solve_never_builds_the_pair_list(self, monkeypatch):
+        # the blocker scan and the super-stability check read each man's
+        # open candidates, so no solve, stability verdict or blocker list
+        # needs the sorted list of every acceptable pair
+        def markets():
+            for family in FAMILIES:
+                inst, truth = generate(family, n=30, seed=0)
+                for side in (MAN, WOMAN):
+                    yield inst, truth, gale_shapley(truth, side)
+            inst, truth, mu, _ = cover_market_smti(random_bounded_graph(30, 3, 1))
+            yield inst, truth, mu
+
+        def answers():
+            out = []
+            for inst, truth, mu in markets():
+                out.append(plan_view(plan_for_matching(inst, truth, mu)))
+                out.append([is_stable(inst, mu, level) for level in Stability])
+                out.append([blocking_pairs(inst, mu, level) for level in Blocking])
+            return out
+
+        expected = answers()
+
+        def unbuilt(instance):
+            raise AssertionError("the acceptable-pair list was built")
+
+        monkeypatch.setattr(Instance, "acceptable_pairs", unbuilt)
+        got = answers()
+        monkeypatch.undo()
+        assert got == expected
 
 
 class TestDenseMarkets:

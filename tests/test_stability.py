@@ -5,6 +5,7 @@ from helpers import (
     class_markets,
     draw_partial_matching,
     edge_twin,
+    pair_list_scan,
     prefers_scan,
     spec_blocking_pairs,
 )
@@ -21,6 +22,7 @@ from interviewplan.model import (
     Relation,
     interview_set,
     man,
+    tie_relation,
     woman,
 )
 from interviewplan.stability import (
@@ -142,11 +144,89 @@ class TestOneScan:
         for state in (inst, learned, relearned):
             twin = edge_twin(state)
             pairs = state.acceptable_pairs()
-            assert list(_very_weak_blockers(state, mu, pairs)) == prefers_scan(twin, mu, pairs)
+            assert list(_very_weak_blockers(state, mu)) == prefers_scan(twin, mu, pairs)
             if consistent:
                 assert_scan_equals_spec(state, twin, mu)
             if classify:
                 assert analyze_blockers(state, truth, mu) == analyze_blockers(twin, truth, mu)
+
+
+@st.composite
+def odd_markets(draw):
+    """Up to 4 agents per side whose relations mix every part a relation
+    can hold, beyond what the constructors build: classes drawn over a pool
+    that may cover only part of the acceptable set and reach outside it,
+    random extra edges (consistent or not), a met order over some
+    acceptable candidates, one-sided acceptability, and acceptable
+    candidates outside the declared agents.  Plus a partial matching, which
+    leaves some agents unmatched."""
+    n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    men = [man(i) for i in range(1, n_men + 1)]
+    women = [woman(j) for j in range(1, n_women + 1)]
+    rels = {}
+    for a, others in [(m, women + [woman(n_women + 1)]) for m in men] + \
+                     [(w, men + [man(n_men + 1)]) for w in women]:
+        acceptable = [c for c in others if draw(st.booleans())]
+        pool = draw(st.permutations([c for c in others if draw(st.booleans())]))
+        cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=len(pool))))
+        bounds = [0] + cuts + [len(pool)]
+        ties = tie_relation(a, (pool[i:j] for i, j in zip(bounds, bounds[1:])))
+        extra = frozenset(p for p in itertools.permutations(others, 2)
+                          if draw(st.integers(0, 5)) == 0)
+        met = draw(st.permutations([c for c in acceptable if draw(st.booleans())]))
+        rels[a] = Relation._of(a, frozenset(acceptable), ties.classes, ties.level,
+                               extra, tuple(met))
+    instance = Instance(n_men, n_women, rels, base=False)
+    return instance, draw_partial_matching(draw, instance)
+
+
+def assert_scan_equals_pair_list(instance, mu):
+    """The open-candidate scan yields exactly the pair-list reference's
+    pairs, in its order, and ``is_resolved`` agrees with it on every
+    mutually acceptable pair."""
+    expected = pair_list_scan(instance, mu)
+    assert list(_very_weak_blockers(instance, mu)) == expected
+    blocking = set(expected)
+    for m, w in instance.acceptable_pairs():
+        resolved = is_resolved(instance, PotentialBlocker(m, w, 2), mu)
+        assert resolved == ((m, w) not in blocking)
+
+
+class TestOpenCandidateScan:
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(asymmetric_markets())
+    def test_equals_pair_list_on_asymmetric_markets(self, market):
+        assert_scan_equals_pair_list(*market)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(class_states())
+    def test_equals_pair_list_on_base_learned_and_relearned_states(self, market):
+        inst, truth, interviews, again, mu = market
+        learned = _apply_unchecked(inst, truth, interviews)
+        relearned = _apply_unchecked(learned, truth, again)
+        for state in (inst, learned, relearned):
+            assert_scan_equals_pair_list(state, mu)
+
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(odd_markets())
+    def test_equals_pair_list_on_partial_and_outside_classes(self, market):
+        assert_scan_equals_pair_list(*market)
+
+    def test_equals_pair_list_on_dense_generated_markets(self):
+        # the benchmark's market shapes at a smaller n, base and refined
+        from interviewplan.solvers import plan_for_matching
+
+        for family in ("random_smti", "master_ties", "tiered", "one_side_strict"):
+            inst, truth = generate(family, n=20, seed=1)
+            for side in ("m", "w"):
+                mu = gale_shapley(truth, side)
+                assert_scan_equals_pair_list(inst, mu)
+                assert_scan_equals_pair_list(plan_for_matching(inst, truth, mu).refined, mu)
+
+    def test_unmatched_market_blocks_on_every_acceptable_pair(self):
+        inst, _ = generate("random_smti", n=6, seed=2, density=0.5)
+        empty = Matching([])
+        assert tuple(_very_weak_blockers(inst, empty)) == inst.acceptable_pairs()
 
 
 class TestIsStable:
