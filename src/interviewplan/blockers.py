@@ -32,7 +32,7 @@ from .model import (
     Pair,
     StrictProfile,
 )
-from .stability import _open, _very_weak_blockers, check_matching, weakly_stable_under
+from .stability import _open, _true_cut, _very_weak_blockers, check_matching, weakly_stable_under
 
 
 class PotentialBlocker(NamedTuple):
@@ -104,16 +104,6 @@ class CoverGraph:
 
     def degree(self, v: Pair) -> int:
         return sum(1 for e in self.edges if v in e)
-
-
-def _true_cut(truth: StrictProfile, matching: Matching,
-              agent: Agent) -> tuple[Mapping[Agent, int], int]:
-    """The agent's true rank map and the rank of its partner in it, or the
-    length of the map when unmatched: the agent truly prefers a candidate
-    to its partner exactly when the candidate ranks before that cut."""
-    ranks = truth.ranks(agent)
-    partner = matching.partner(agent)
-    return ranks, len(ranks) if partner is None else ranks[partner]
 
 
 def analyze_blockers(instance: Instance, truth: StrictProfile,

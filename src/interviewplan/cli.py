@@ -267,14 +267,13 @@ def cmd_solve(args) -> int:
     if args.oracle_verify:
         try:
             if args.min_icr:
-                oracle_cost, _, oracle_mu = oracle_best_plan(instance, truth)
-                agree = oracle_cost == plan.cost
+                oracle_cost = oracle_best_plan(instance, truth)[0]
             else:
-                oracle_cost, _ = oracle_plan_for_matching(instance, truth, matching)
-                agree = oracle_cost == plan.cost
+                oracle_cost = oracle_plan_for_matching(instance, truth, matching)[0]
         except SizeLimitExceeded as err:
             print(f"oracle: skipped ({err})")
             return 0
+        agree = oracle_cost == plan.cost
         print(f"oracle: {'agree' if agree else 'DISAGREE'} (cost={oracle_cost})")
         return 0 if agree else 1
     return 0

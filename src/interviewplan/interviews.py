@@ -6,12 +6,13 @@ An interview pairs one man with one woman and informs both.  After an agent
 has interviewed two or more candidates, the agent knows its true strict
 order over exactly those candidates; an agent who interviewed a single
 candidate learns nothing usable.  The refined knowledge state keeps the
-learned order, the met candidates ranked by the truth (no transitive
-closure); ``.edges`` still reads as its pairs.
+learned order, the true order read off over the candidates met (no sort, no
+transitive closure); ``.edges`` still reads as its pairs.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -42,25 +43,19 @@ class CompatibilityWitness:
     offender: Optional[tuple[Agent, Pair]] = None
 
 
-def _interviewed(interviews: frozenset[Pair]) -> dict[Agent, list[Agent]]:
-    # in no particular order: each list is sorted by the truth before use
-    met: dict[Agent, list[Agent]] = {}
-    for m, w in interviews:
-        met.setdefault(m, []).append(w)
-        met.setdefault(w, []).append(m)
-    return met
-
-
 def _apply_unchecked(instance: Instance, truth: StrictProfile,
                      interviews: frozenset[Pair]) -> Instance:
     # Hot path shared with the brute-force oracles: preconditions are the
-    # caller's responsibility.
-    met = _interviewed(interviews)
+    # caller's responsibility.  The truth must rank every candidate an agent
+    # met, as ``refines`` guarantees: each learned order is read off it.
+    met: defaultdict[Agent, set[Agent]] = defaultdict(set)
+    for m, w in interviews:
+        met[m].add(w)
+        met[w].add(m)
     rels = dict(instance.relations)
     for a, cands in met.items():
-        if len(cands) < 2:
-            continue
-        rels[a] = rels[a].learn(sorted(cands, key=truth.ranks(a).__getitem__))
+        if len(cands) > 1:
+            rels[a] = rels[a].learn([c for c in truth.ranking[a] if c in cands])
     return Instance(instance.n_men, instance.n_women, rels, base=False)
 
 

@@ -313,8 +313,12 @@ class StrictProfile:
 
     def __init__(self, ranking: Mapping[Agent, Sequence[Agent]]):
         self.ranking = {a: tuple(seq) for a, seq in ranking.items()}
-        self._rank = {a: {c: i for i, c in enumerate(seq)}
+        self._rank = {a: MappingProxyType({c: i for i, c in enumerate(seq)})
                       for a, seq in self.ranking.items()}
+
+    def __reduce__(self):
+        # the stored views do not pickle; rebuild them from the ranking
+        return StrictProfile, (self.ranking,)
 
     def acceptable(self, a: Agent) -> tuple[Agent, ...]:
         return self.ranking.get(a, ())
@@ -324,8 +328,9 @@ class StrictProfile:
 
     def ranks(self, a: Agent) -> Mapping[Agent, int]:
         """Read-only map from each candidate ``a`` ranks to its position, best
-        first from 0; empty for an agent the profile does not rank."""
-        return MappingProxyType(self._rank.get(a, _NO_LEVELS))
+        first from 0; empty for an agent the profile does not rank.  Built
+        once with the profile: every call returns the same view."""
+        return self._rank.get(a, _NO_LEVELS)
 
     def prefers(self, a: Agent, c1: Agent, c2: Agent) -> bool:
         ranks = self._rank[a]
@@ -380,9 +385,10 @@ class StrictProfile:
 
 
 class Matching:
-    """A partial one-to-one pairing of men and women."""
+    """A partial one-to-one pairing of men and women.  ``partner(a)``, the
+    stored ``get`` of the partner map, is the agent matched to ``a`` or None."""
 
-    __slots__ = ("pairs", "_of")
+    __slots__ = ("pairs", "partner")
 
     def __init__(self, pairs: Iterable[tuple[Agent, Agent]]):
         normalized = sorted(couple(a, b) for a, b in pairs)
@@ -393,10 +399,7 @@ class Matching:
             of[m] = w
             of[w] = m
         self.pairs = tuple(normalized)
-        self._of = of
-
-    def partner(self, a: Agent) -> Optional[Agent]:
-        return self._of.get(a)
+        self.partner = of.get
 
     def __contains__(self, pair: Pair) -> bool:
         return pair in self.pairs

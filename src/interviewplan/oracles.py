@@ -51,16 +51,17 @@ def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
         PURE_PAIR_CAP if mode == "pure" else PRUNED_PAIR_CAP)
     if len(pairs) > cap:
         raise SizeLimitExceeded(f"{len(pairs)} acceptable pairs exceed the cap of {cap}")
-    if not truth.refines(instance):
-        raise TruthInconsistent("strict profile does not refine the instance")
-    check_matching(instance, matching)
-    if not weakly_stable_under(truth, matching):
-        raise MatchingNotWeaklyStable(
-            "target matching has a blocking pair under the true preferences")
-
     if mode == "pure":
+        # the fallback's reference: checks its inputs without analyze_blockers
+        if not truth.refines(instance):
+            raise TruthInconsistent("strict profile does not refine the instance")
+        check_matching(instance, matching)
+        if not weakly_stable_under(truth, matching):
+            raise MatchingNotWeaklyStable(
+                "target matching has a blocking pair under the true preferences")
         base: frozenset[Pair] = frozenset()
     else:
+        # analyze_blockers runs the same three checks, with the same errors
         report = analyze_blockers(instance, truth, matching)
         base = frozenset(report.pairs) | frozenset(report.mandated_pairs(matching))
     universe = sorted(set(pairs) - base)

@@ -141,7 +141,7 @@ def _very_weak_blockers(instance: Instance, matching: Matching) -> Iterator[Pair
     # the scan reaches her.  Each man's women are sorted, so the pairs come
     # in ascending order, as in ``Instance.acceptable_pairs``.
     relations = instance.relations
-    partner = matching._of.get
+    partner = matching.partner
     opens: dict[Agent, AbstractSet[Agent]] = {}
     for m in instance.men():
         found = []
@@ -199,8 +199,7 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
     exhaust their lists and stay unmatched when nobody acceptable remains.
     """
     proposers = sorted(a for a in truth.ranking if a.side == proposing)
-    # each holder's true rank map, bound on its first proposal
-    ranks: dict[Agent, Mapping[Agent, int]] = {}
+    ranks = truth.ranks
     engaged: dict[Agent, Agent] = {}
     next_choice = {p: 0 for p in proposers}
     free = deque(proposers)
@@ -210,9 +209,7 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
         while next_choice[p] < len(prefs):
             c = prefs[next_choice[p]]
             next_choice[p] += 1
-            ranks_c = ranks.get(c)
-            if ranks_c is None:
-                ranks_c = ranks[c] = truth.ranks(c)
+            ranks_c = ranks(c)
             if p not in ranks_c:
                 continue
             holder = engaged.get(c)
@@ -226,52 +223,66 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
     return Matching([(p, c) for c, p in engaged.items()])
 
 
+def _true_cut(truth: StrictProfile, matching: Matching,
+              agent: Agent) -> tuple[Mapping[Agent, int], int]:
+    """The agent's true rank map and the rank of its partner in it, or the
+    length of the map when unmatched: the agent truly prefers a candidate
+    to its partner exactly when the candidate ranks before that cut."""
+    ranks = truth.ranks(agent)
+    partner = matching.partner(agent)
+    return ranks, len(ranks) if partner is None else ranks[partner]
+
+
 def weakly_stable_under(truth: StrictProfile, matching: Matching) -> bool:
     """No pair of mutually acceptable agents both truly prefer each other
     to their situation under the matching."""
-    # each woman's true rank map, bound on her first visit
-    ranks: dict[Agent, Mapping[Agent, int]] = {}
     for m in sorted(a for a in truth.ranking if a.side == MAN):
-        ranks_m = truth.ranks(m)
-        pm = matching.partner(m)
-        limit = ranks_m[pm] if pm is not None else len(ranks_m)
-        for w in truth.ranking[m]:
-            if ranks_m[w] >= limit:
-                break
-            ranks_w = ranks.get(w)
-            if ranks_w is None:
-                ranks_w = ranks[w] = truth.ranks(w)
-            if m not in ranks_w:
-                continue
-            pw = matching.partner(w)
-            if pw is None or ranks_w[m] < ranks_w[pw]:
+        _, cut = _true_cut(truth, matching, m)
+        for w in truth.ranking[m][:cut]:
+            ranks_w, cut_w = _true_cut(truth, matching, w)
+            if ranks_w.get(m, cut_w) < cut_w:
                 return False
     return True
 
 
 def iter_matchings(instance: Instance) -> Iterator[tuple[Pair, ...]]:
     """Every partial one-to-one pairing over the mutually acceptable
-    pairs, as sorted pair tuples."""
+    pairs, as sorted pair tuples.  Each man in index order takes each free
+    acceptable woman in turn and then stays unmatched; the search keeps its
+    own stack, so the recursion limit does not bound its depth."""
     men = instance.men()
-    options = {m: [w for (m2, w) in instance.acceptable_pairs() if m2 == m]
-               for m in men}
-
-    def rec(i: int, taken: set[Agent], acc: list[Pair]) -> Iterator[tuple[Pair, ...]]:
-        if i == len(men):
-            yield tuple(acc)
-            return
-        m = men[i]
-        for w in options[m]:
-            if w in taken:
-                continue
-            taken.add(w)
-            acc.append((m, w))
-            yield from rec(i + 1, taken, acc)
-            acc.pop()
+    if not men:
+        yield ()
+        return
+    women: list[list[Agent]] = [[] for _ in men]
+    for m, w in instance.acceptable_pairs():
+        women[m.index - 1].append(w)
+    # each man's choices: his women, then None for staying unmatched
+    choices: list[list[Optional[Agent]]] = [[*ws, None] for ws in women]
+    taken: set[Optional[Agent]] = set()
+    acc: list[Pair] = []
+    held: list[Optional[Agent]] = []  # the choice of each man on the stack
+    untried = [iter(choices[0])]  # the choices each man on the stack has left
+    while untried:
+        if len(held) == len(untried):  # back at this man: give back what he held
+            w = held.pop()
             taken.discard(w)
-        yield from rec(i + 1, taken, acc)
-
-    yield from rec(0, set(), [])
+            if w is not None:
+                acc.pop()
+        for w in untried[-1]:
+            if w not in taken:
+                break
+        else:
+            untried.pop()
+            continue
+        held.append(w)
+        if w is not None:
+            taken.add(w)
+            acc.append((men[len(held) - 1], w))
+        if len(untried) == len(men):
+            yield tuple(acc)
+        else:
+            untried.append(iter(choices[len(untried)]))
 
 
 def stable_matchings(truth: StrictProfile, size_cap: int = 8) -> tuple[Matching, ...]:

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from interviewplan import fixtures
 from interviewplan.generators import connected_small_graphs
+
+# every property test replays the same examples, keeps no example database
+# and has no per-example deadline; each test sets only its max_examples
+settings.register_profile("interviewplan", derandomize=True, database=None, deadline=None)
+settings.load_profile("interviewplan")
 
 
 @pytest.fixture(scope="session")

@@ -75,6 +75,46 @@ def edge_twin(instance):
                     base=instance.base)
 
 
+def reference_apply(instance, truth, interviews):
+    """Reference for ``_apply_unchecked``: each agent's interviewed
+    candidates grouped into a list and sorted by their true ranks."""
+    met = {}
+    for m, w in interviews:
+        met.setdefault(m, []).append(w)
+        met.setdefault(w, []).append(m)
+    rels = dict(instance.relations)
+    for a, cands in met.items():
+        if len(cands) > 1:
+            rels[a] = rels[a].learn(sorted(cands, key=truth.ranks(a).__getitem__))
+    return Instance(instance.n_men, instance.n_women, rels, base=False)
+
+
+def reference_iter_matchings(instance):
+    """Reference for ``iter_matchings``: the recursive search, each man in
+    index order taking each free acceptable woman in turn and then staying
+    unmatched."""
+    men = instance.men()
+    options = {m: [w for (m2, w) in instance.acceptable_pairs() if m2 == m]
+               for m in men}
+
+    def rec(i, taken, acc):
+        if i == len(men):
+            yield tuple(acc)
+            return
+        m = men[i]
+        for w in options[m]:
+            if w in taken:
+                continue
+            taken.add(w)
+            acc.append((m, w))
+            yield from rec(i + 1, taken, acc)
+            acc.pop()
+            taken.discard(w)
+        yield from rec(i + 1, taken, acc)
+
+    yield from rec(0, set(), [])
+
+
 def _spec_attitude(edges, candidate, partner):
     if partner is None:
         return Attitude.UNMATCHED
@@ -152,7 +192,7 @@ def pair_list_scan(instance, matching):
     partner.  The reference for the scan that reads only each man's open
     candidates."""
     relations = instance.relations
-    partner = matching._of.get
+    partner = matching.partner
     sides = {}
     out = []
     for m, w in instance.acceptable_pairs():

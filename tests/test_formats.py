@@ -81,7 +81,7 @@ def test_byte_round_trip_of_generated_families():
                 assert_byte_round_trip(inst)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(class_markets())
 def test_byte_round_trip_of_class_markets(market):
     assert_byte_round_trip(market[0])

@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from helpers import edge_twin
+from helpers import class_markets, edge_twin, reference_apply
+from hypothesis import assume, given, settings
 
 from interviewplan.errors import (
     NotARefinement,
@@ -118,6 +119,27 @@ class TestApply:
     def test_result_not_flagged_base(self, fig1):
         T = interview_set([(man(2), woman(1)), (man(2), woman(2))])
         assert apply_interviews(fig1.instance, fig1.truth, T).base is False
+
+    @settings(max_examples=300)
+    @given(class_markets())
+    def test_met_order_read_off_truth_equals_keyed_sort(self, market):
+        # with a truth that refines the base, each learned order read off the
+        # true order equals the interviewed candidates sorted by true rank,
+        # on the base, learned and relearned states and their edge-built twins
+        inst, truth, interviews, again = market
+        assume(truth.refines(inst))
+        learned = _apply_unchecked(inst, truth, interviews)
+        relearned = _apply_unchecked(learned, truth, again)
+        for state in (inst, learned, relearned):
+            for start in (state, edge_twin(state)):
+                for chosen in (interviews, again):
+                    ours = _apply_unchecked(start, truth, chosen)
+                    theirs = reference_apply(start, truth, chosen)
+                    assert ours.base is theirs.base is False
+                    for a in start.agents():
+                        x, y = ours.relations[a], theirs.relations[a]
+                        assert (x.classes, x.level, x.extra, x.met) == \
+                            (y.classes, y.level, y.extra, y.met), a
 
 
 class TestCompatibility:

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from helpers import class_markets, edge_twin, full_validate, reference_refines
@@ -169,7 +170,7 @@ class TestValidationShortcut:
         inst = one_man_market(rel)
         assert validate_instance(inst).ok and full_validate(inst).ok
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.lists(st.lists(st.sampled_from(CANDIDATES[:5]), max_size=3), max_size=4),
            st.sets(st.sampled_from(CANDIDATES[:5]), max_size=5),
            st.sets(st.tuples(st.sampled_from(CANDIDATES[:5]), st.sampled_from(CANDIDATES[:5])),
@@ -179,7 +180,7 @@ class TestValidationShortcut:
         inst = one_man_market(classed(man(1), acceptable, classes, extra), base)
         assert validate_instance(inst) == full_validate(inst)
 
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(st.sets(st.sampled_from(CANDIDATES[:5]), max_size=5),
            st.sets(st.tuples(st.sampled_from(CANDIDATES), st.sampled_from(CANDIDATES)),
                    max_size=14),
@@ -248,11 +249,23 @@ class TestStrictProfile:
         truth = fig1.truth
         for a, seq in truth.ranking.items():
             ranks = truth.ranks(a)
+            assert ranks is truth.ranks(a)  # one stored view per agent
             assert dict(ranks) == {c: truth.rank(a, c) for c in seq}
             assert list(ranks) == list(seq)
             with pytest.raises(TypeError):
                 ranks[seq[0]] = len(seq)
         assert not truth.ranks(man(99))
+
+    def test_profile_and_matching_pickle(self, fig1):
+        truth = pickle.loads(pickle.dumps(fig1.truth))
+        matching = pickle.loads(pickle.dumps(fig1.matching))
+        assert truth == fig1.truth and matching == fig1.matching
+        for a in truth.ranking:
+            assert truth.ranks(a) == fig1.truth.ranks(a)
+            assert truth.ranks(a) is truth.ranks(a)
+        for a in fig1.instance.agents():
+            assert matching.partner(a) == fig1.matching.partner(a)
+        assert matching.partner(man(99)) is None
 
     def test_refines_needs_each_acceptable_candidate_exactly_once(self, fig1):
         # no comparisons at all, so only the acceptable sets can reject
@@ -272,7 +285,7 @@ class TestStrictProfile:
             ranking[a] = seq
             assert not StrictProfile(ranking).refines(inst), seq
 
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(st.data())
     def test_refines_equals_per_class_reference(self, data):
         # disjoint classes drawn from all six candidates, so a class may hold
@@ -380,7 +393,7 @@ class TestTieStructure:
                 assert t is not None
                 assert t.as_edges() == inst.relations[a].edges
 
-    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(st.data())
     def test_equals_brute_force_spec(self, data):
         # a weak order over up to 5 acceptable candidates, with up to four
@@ -397,7 +410,7 @@ class TestTieStructure:
         rel = Relation(man(1), frozenset(acceptable), frozenset(edges))
         assert agent_tie_structure(rel) == tie_spec(rel)
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.lists(st.lists(st.sampled_from(CANDIDATES), unique=True, max_size=3),
                     max_size=4).filter(
         lambda cls: len({c for g in cls for c in g}) == sum(map(len, cls))))
@@ -469,7 +482,7 @@ class TestLinearExtensions:
         exts, overflow = linear_extensions(inst, man(1), cap=1)
         assert exts == [tuple(women)] and overflow
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.sets(st.sampled_from(CANDIDATES[:5])),
            st.sets(st.tuples(st.sampled_from(CANDIDATES[:5]), st.sampled_from(CANDIDATES[:5])),
                    max_size=6),
@@ -562,7 +575,7 @@ def assert_same_learned(bases, state, truth):
 
 
 class TestClassForm:
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(class_markets())
     def test_class_form_equals_edge_form(self, market):
         inst, truth, interviews, again = market

@@ -1,9 +1,14 @@
 import pytest
 
-from interviewplan.errors import MatchingNotWeaklyStable, SizeLimitExceeded
+from interviewplan.errors import (
+    InvalidMatching,
+    MatchingNotWeaklyStable,
+    SizeLimitExceeded,
+    TruthInconsistent,
+)
 from interviewplan.generators import SimpleGraph, generate
 from interviewplan.interviews import apply_interviews
-from interviewplan.model import Matching, interview_set, man, woman
+from interviewplan.model import Matching, StrictProfile, interview_set, man, woman
 from interviewplan.oracles import (
     brute_force_cover,
     find_super_stable,
@@ -46,6 +51,22 @@ class TestOraclePlanForMatching:
         with pytest.raises(SizeLimitExceeded):
             oracle_plan_for_matching(mt3.instance, mt3.truth, mt3.matching,
                                      mode="pure", size_cap=4)
+
+    def test_each_input_error_is_the_same_in_both_modes(self, fig1):
+        # pure mode checks its inputs itself, pruned mode through
+        # analyze_blockers; both raise the same error with the same message
+        short = StrictProfile({**fig1.truth.ranking, man(1): (woman(1),)})
+        swapped = Matching([(man(1), woman(2)), (man(2), woman(1))])
+        cases = ((short, fig1.matching, TruthInconsistent),
+                 (fig1.truth, Matching([(man(1), woman(3))]), InvalidMatching),
+                 (fig1.truth, swapped, MatchingNotWeaklyStable))
+        for truth, mu, error in cases:
+            raised = set()
+            for mode in ("pure", "pruned"):
+                with pytest.raises(error) as caught:
+                    oracle_plan_for_matching(fig1.instance, truth, mu, mode=mode)
+                raised.add((type(caught.value), str(caught.value)))
+            assert len(raised) == 1 and next(iter(raised))[0] is error, raised
 
     def test_pure_equals_pruned_exhaustively_small(self):
         for seed in range(80):

@@ -127,7 +127,7 @@ class TestMinVertexCover:
             g = random_bounded_graph(n=4 + seed % 7, max_degree=3, seed=seed)
             assert min_vertex_cover(g) == tuple(brute_force_cover(g)), seed
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(min_value=1, max_value=10).flatmap(
         lambda n: st.tuples(
             st.just(n),
@@ -150,7 +150,7 @@ class TestMinVertexCover:
         assert len(cover) == bb_cover_size(vertices, edges)
         assert search_cover_size(edges) == len(cover)
 
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(st.integers(min_value=1, max_value=12).flatmap(
         lambda n: st.tuples(
             st.just(n),
@@ -161,7 +161,7 @@ class TestMinVertexCover:
         g = graph(n, edges)
         assert search_cover_size(sorted(g.edges)) == len(brute_force_cover(g))
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=2, max_value=4),
            st.integers(min_value=0, max_value=10**6))
     def test_search_size_equals_branch_and_bound(self, n, max_degree, seed):
@@ -169,7 +169,7 @@ class TestMinVertexCover:
         vertices, edges = list(g.vertices), sorted(g.edges)
         assert search_cover_size(edges) == bb_cover_size(vertices, edges)
 
-    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(bounded_graphs_and_cliques())
     def test_equals_per_component_reference(self, g):
         assert min_vertex_cover(g) == reference_min_vertex_cover(g)
@@ -293,7 +293,7 @@ class TestPlanForMatching:
                 assert plan.cost == cost
                 assert is_stable(plan.refined, mu, Stability.SUPER)
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.data())
     def test_matches_oracle_on_general_partial_orders(self, data):
         # edge-built base relations: a random sub-order of a hidden linear

@@ -7,6 +7,7 @@ from helpers import (
     edge_twin,
     pair_list_scan,
     prefers_scan,
+    reference_iter_matchings,
     spec_blocking_pairs,
 )
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from interviewplan.stability import (
     extension_agreement,
     gale_shapley,
     is_stable,
+    iter_matchings,
     stable_matchings,
     weakly_stable_under,
 )
@@ -123,13 +125,13 @@ def assert_scan_equals_spec(instance, spec_instance, mu):
 
 
 class TestOneScan:
-    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(asymmetric_markets())
     def test_levels_equal_spec(self, market):
         instance, mu = market
         assert_scan_equals_spec(instance, instance, mu)
 
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(class_states())
     def test_class_built_states_equal_edge_twin(self, market):
         # the base state reads class levels, the learned one met ranks too,
@@ -193,12 +195,12 @@ def assert_scan_equals_pair_list(instance, mu):
 
 
 class TestOpenCandidateScan:
-    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(asymmetric_markets())
     def test_equals_pair_list_on_asymmetric_markets(self, market):
         assert_scan_equals_pair_list(*market)
 
-    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(class_states())
     def test_equals_pair_list_on_base_learned_and_relearned_states(self, market):
         inst, truth, interviews, again, mu = market
@@ -207,7 +209,7 @@ class TestOpenCandidateScan:
         for state in (inst, learned, relearned):
             assert_scan_equals_pair_list(state, mu)
 
-    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(odd_markets())
     def test_equals_pair_list_on_partial_and_outside_classes(self, market):
         assert_scan_equals_pair_list(*market)
@@ -255,18 +257,12 @@ class TestIsStable:
             _, truth = generate("random_smti", n=3, seed=seed,
                                 tie_cap=1, density=0.8)
             strict = truth.as_instance()
-            for pairs in _all_matchings_3x3(strict):
+            for pairs in iter_matchings(strict):
                 mu = Matching(pairs)
                 verdicts = {is_stable(strict, mu, level)
                             for level in (Stability.WEAK, Stability.STRONG,
                                           Stability.SUPER)}
                 assert len(verdicts) == 1
-
-
-def _all_matchings_3x3(instance):
-    from interviewplan.stability import iter_matchings
-
-    yield from iter_matchings(instance)
 
 
 class TestGaleShapley:
@@ -303,6 +299,23 @@ class TestEnumeration:
     def test_size_cap(self, fig1):
         with pytest.raises(SizeLimitExceeded):
             stable_matchings(fig1.truth, size_cap=1)
+
+    @settings(max_examples=300)
+    @given(class_markets())
+    def test_iter_matchings_equals_recursive_reference(self, market):
+        # up to 4 agents per side with random acceptability, so some agents
+        # have no acceptable partner and every man may stay unmatched
+        inst = market[0]
+        assert list(iter_matchings(inst)) == list(reference_iter_matchings(inst))
+
+    def test_iter_matchings_is_not_bounded_by_recursion(self):
+        n = 1500
+        rels = {}
+        for i in range(1, n + 1):
+            rels[man(i)] = tie_relation(man(i), [[woman(i)]])
+            rels[woman(i)] = tie_relation(woman(i), [[man(i)]])
+        first = next(iter_matchings(Instance(n, n, rels)))
+        assert first == tuple((man(i), woman(i)) for i in range(1, n + 1))
 
 
 class TestExtensionAgreement:
