@@ -6,15 +6,15 @@ An interview pairs one man with one woman and informs both.  After an agent
 has interviewed two or more candidates, the agent knows its true strict
 order over exactly those candidates; an agent who interviewed a single
 candidate learns nothing usable.  The refined knowledge state keeps the
-learned order, the true order read off over the candidates met (no sort, no
-transitive closure); ``.edges`` still reads as its pairs.
+learned order, the true order over the candidates met (no transitive
+closure); ``.edges`` still reads as its pairs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 from .errors import NotARefinement, NotInterviewCompatible, TruthInconsistent, UnacceptablePair
 from .model import (
@@ -25,6 +25,11 @@ from .model import (
     couple,
     is_refinement,
 )
+
+# an agent that met fewer than a third of the candidates it ranks has
+# them sorted by true rank, otherwise read off its true order: about where
+# the two cost the same, from 6 to 50 ranked candidates
+_SORT_RATIO = 3
 
 
 @dataclass(frozen=True)
@@ -43,20 +48,31 @@ class CompatibilityWitness:
     offender: Optional[tuple[Agent, Pair]] = None
 
 
+def _learned(instance: Instance, truth: StrictProfile,
+             met: Mapping[Agent, AbstractSet[Agent]]) -> Instance:
+    # The learn core behind both applies: every agent that met two or more
+    # candidates learns their true order.  The truth must rank every
+    # candidate an agent met, as ``refines`` guarantees.
+    rels = dict(instance.relations)
+    for a, cands in met.items():
+        if len(cands) > 1:
+            order = truth.ranking[a]
+            if len(cands) * _SORT_RATIO < len(order):
+                rels[a] = rels[a].learn(sorted(cands, key=truth.ranks(a).__getitem__))
+            else:
+                rels[a] = rels[a].learn([c for c in order if c in cands])
+    return Instance(instance.n_men, instance.n_women, rels, base=False)
+
+
 def _apply_unchecked(instance: Instance, truth: StrictProfile,
                      interviews: frozenset[Pair]) -> Instance:
     # Hot path shared with the brute-force oracles: preconditions are the
-    # caller's responsibility.  The truth must rank every candidate an agent
-    # met, as ``refines`` guarantees: each learned order is read off it.
+    # caller's responsibility, as in ``_learned``.
     met: defaultdict[Agent, set[Agent]] = defaultdict(set)
     for m, w in interviews:
         met[m].add(w)
         met[w].add(m)
-    rels = dict(instance.relations)
-    for a, cands in met.items():
-        if len(cands) > 1:
-            rels[a] = rels[a].learn([c for c in truth.ranking[a] if c in cands])
-    return Instance(instance.n_men, instance.n_women, rels, base=False)
+    return _learned(instance, truth, met)
 
 
 def apply_interviews(instance: Instance, truth: StrictProfile,
@@ -66,19 +82,27 @@ def apply_interviews(instance: Instance, truth: StrictProfile,
     Every agent that interviewed two or more candidates gains the true
     comparison for each pair of them; agents who interviewed at most one
     candidate are unchanged.  Raises :class:`TruthInconsistent` when the
-    profile does not refine the instance and :class:`UnacceptablePair` for
-    an interview between agents that do not find each other acceptable.
+    profile does not refine the instance, :class:`UnacceptablePair` for
+    an interview between agents that do not find each other acceptable
+    and ``ValueError`` for a pair of agents on one side.  The interviews
+    are grouped by agent in one pass, and each agent's group is checked
+    against its acceptable set with one subset test.
     """
     if not truth.refines(instance):
         raise TruthInconsistent("strict profile does not refine the instance")
-    relations = instance.relations
-    normalized = []
+    met: defaultdict[Agent, set[Agent]] = defaultdict(set)
     for pair in interviews:
         m, w = couple(*pair)
-        if w not in relations[m].acceptable or m not in relations[w].acceptable:
+        met[m].add(w)
+        met[w].add(m)
+    relations = instance.relations
+    for a, cands in met.items():
+        rel = relations.get(a)  # None for an agent outside the declared counts
+        acceptable = rel.acceptable if rel is not None else frozenset()
+        if not cands <= acceptable:
+            m, w = couple(a, min(cands - acceptable))
             raise UnacceptablePair(f"{m} and {w} are not mutually acceptable")
-        normalized.append((m, w))
-    return _apply_unchecked(instance, truth, frozenset(normalized))
+    return _learned(instance, truth, met)
 
 
 def interview_compatibility(base: Instance, refined: Instance) -> CompatibilityWitness:

@@ -309,15 +309,17 @@ def tie_relation(owner: Agent, classes: Iterable[Iterable[Agent]]) -> Relation:
 class StrictProfile:
     """The true underlying preferences: one total order per agent."""
 
-    __slots__ = ("ranking", "_rank")
+    __slots__ = ("ranking", "_rank", "_refined")
 
     def __init__(self, ranking: Mapping[Agent, Sequence[Agent]]):
         self.ranking = {a: tuple(seq) for a, seq in ranking.items()}
         self._rank = {a: MappingProxyType({c: i for i, c in enumerate(seq)})
                       for a, seq in self.ranking.items()}
+        self._refined: Optional[Instance] = None
 
     def __reduce__(self):
-        # the stored views do not pickle; rebuild them from the ranking
+        # the stored views do not pickle; rebuild them from the ranking, with
+        # nothing remembered by refines
         return StrictProfile, (self.ranking,)
 
     def acceptable(self, a: Agent) -> tuple[Agent, ...]:
@@ -342,18 +344,37 @@ class StrictProfile:
 
         The classes are checked in one walk down the agent's true order:
         the class levels met along it never decrease, and it meets every
-        classed candidate."""
+        classed candidate.  When the agent has as many classed candidates
+        as it ranks, the walk reads a level for every one of them.
+
+        The last instance accepted is remembered by identity (the
+        ``_refined`` slot) and accepted again in O(1), so a solve that checks
+        one instance at several entry points pays once.  This relies on
+        profiles and instances being immutable values, as the tie structure
+        cached in ``Instance._ties`` does.  A rejection is not remembered,
+        and an unpickled profile remembers nothing."""
+        if instance is self._refined:
+            return True
         for a, rel in instance.relations.items():
             seq = self.ranking.get(a, ())
             ranks = self._rank.get(a, _NO_LEVELS)
             # a ranking as long as the acceptable set that ranks all of it
-            # ranks nothing else and nothing twice
+            # ranks nothing else and nothing twice; a class may still hold
+            # a candidate outside the acceptable set
             if not (len(seq) == len(rel.acceptable) and ranks.keys() >= rel.acceptable):
                 return False
             level = rel.level
             if level:
-                along = [at for at in map(level.get, seq) if at is not None]
-                if len(along) != len(level) or along != sorted(along):
+                if len(level) == len(seq):
+                    try:
+                        along = list(map(level.__getitem__, seq))
+                    except KeyError:  # a ranked candidate is unclassed
+                        return False
+                else:
+                    along = [at for at in map(level.get, seq) if at is not None]
+                    if len(along) != len(level):
+                        return False
+                if along != sorted(along):
                     return False
             try:
                 for c1, c2 in rel.extra:
@@ -364,6 +385,7 @@ class StrictProfile:
                     return False
             except KeyError:  # an edge leaves the acceptable set
                 return False
+        self._refined = instance
         return True
 
     def as_instance(self, n_men: int | None = None, n_women: int | None = None) -> Instance:

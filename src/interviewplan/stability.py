@@ -83,7 +83,7 @@ def check_matching(instance: Instance, matching: Matching) -> None:
     """Raise InvalidMatching unless every pair is mutually acceptable and
     indices are in range."""
     for m, w in matching.pairs:
-        if m.index > instance.n_men or w.index > instance.n_women:
+        if not (1 <= m.index <= instance.n_men and 1 <= w.index <= instance.n_women):
             raise InvalidMatching(f"({m}, {w}) outside declared agent counts")
         if (w not in instance.relations[m].acceptable
                 or m not in instance.relations[w].acceptable):
@@ -235,11 +235,13 @@ def _true_cut(truth: StrictProfile, matching: Matching,
 
 def weakly_stable_under(truth: StrictProfile, matching: Matching) -> bool:
     """No pair of mutually acceptable agents both truly prefer each other
-    to their situation under the matching."""
+    to their situation under the matching.  Each woman's cut is taken
+    once per call, the first time a man reaches her."""
+    cuts: dict[Agent, tuple[Mapping[Agent, int], int]] = {}
     for m in sorted(a for a in truth.ranking if a.side == MAN):
         _, cut = _true_cut(truth, matching, m)
         for w in truth.ranking[m][:cut]:
-            ranks_w, cut_w = _true_cut(truth, matching, w)
+            ranks_w, cut_w = cuts.get(w) or cuts.setdefault(w, _true_cut(truth, matching, w))
             if ranks_w.get(m, cut_w) < cut_w:
                 return False
     return True

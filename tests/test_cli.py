@@ -173,6 +173,20 @@ class TestCheck:
         assert code == 1
         assert "not_transitive" in stdout
 
+    def test_matching_outside_agent_counts_fails_cleanly(self, capsys, fig1_files, tmp_path):
+        # index 0 names no agent: both commands report it and exit 1
+        _, paths = fig1_files
+        bad = tmp_path / "zero.matching"
+        bad.write_text("m0 w1\n", encoding="utf-8")
+        code, stdout, err = run(capsys, "check", paths["instance"], "--truth", paths["truth"],
+                                "--matching", str(bad))
+        assert code == 1
+        assert "matching: INVALID ((m0, w1) outside declared agent counts)" in stdout
+        code, stdout, err = run(capsys, "solve", paths["instance"], paths["truth"],
+                                "--matching", str(bad))
+        assert code == 1
+        assert err == "error: (m0, w1) outside declared agent counts\n"
+
     def test_parse_error_exits_two(self, capsys, tmp_path):
         p = tmp_path / "broken.instance"
         p.write_text("kind: smti\nmen: 1\nwomen: 1\nm1: (w1\n", encoding="utf-8")

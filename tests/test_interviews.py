@@ -19,6 +19,7 @@ from interviewplan.generators import (
     random_bounded_graph,
 )
 from interviewplan.interviews import (
+    _SORT_RATIO,
     _apply_unchecked,
     apply_interviews,
     interview_compatibility,
@@ -31,6 +32,7 @@ from interviewplan.model import (
     StrictProfile,
     interview_set,
     man,
+    relation,
     validate_instance,
     woman,
 )
@@ -120,12 +122,80 @@ class TestApply:
         T = interview_set([(man(2), woman(1)), (man(2), woman(2))])
         assert apply_interviews(fig1.instance, fig1.truth, T).base is False
 
+    def test_one_sided_pair_rejected_either_way_round(self):
+        # m1 accepts w1 and w2 but w2 accepts no one; w3 accepts m1, who
+        # does not accept her.  Each pair is rejected in either order.
+        inst = Instance(1, 3, {
+            man(1): relation(man(1), W[1:3]),
+            W[1]: relation(W[1], [man(1)]),
+            W[3]: relation(W[3], [man(1)]),
+        })
+        truth = StrictProfile({man(1): (W[1], W[2]), W[1]: (man(1),), W[3]: (man(1),)})
+        assert truth.refines(inst)
+        for w in W[2:]:
+            for pair in ((man(1), w), (w, man(1))):
+                with pytest.raises(UnacceptablePair,
+                                   match=f"^m1 and {w} are not mutually acceptable$"):
+                    apply_interviews(inst, truth, frozenset({(man(1), W[1]), pair}))
+
+    def test_pair_outside_agent_counts_rejected(self, fig1):
+        for pair in ((man(3), woman(1)), (woman(1), man(3)), (man(1), woman(0))):
+            with pytest.raises(UnacceptablePair, match="not mutually acceptable"):
+                apply_interviews(fig1.instance, fig1.truth, frozenset({pair}))
+
+    def test_same_side_pair_rejected(self, fig1):
+        for pair in ((man(1), man(2)), (woman(2), woman(1))):
+            with pytest.raises(ValueError, match="is not a man-woman pair"):
+                apply_interviews(fig1.instance, fig1.truth,
+                                 frozenset({(man(1), woman(1)), pair}))
+
+    @settings(max_examples=300)
+    @given(class_markets())
+    def test_checked_apply_equals_unchecked(self, market):
+        # with a truth that refines the base, the checked apply of the pairs,
+        # given man first or woman first, stores what the unchecked one does
+        inst, truth, interviews, again = market
+        assume(truth.refines(inst))
+        learned = _apply_unchecked(inst, truth, interviews)
+        for start, chosen, expected in ((inst, interviews, learned),
+                                        (learned, again, _apply_unchecked(learned, truth, again))):
+            for given_pairs in (chosen, frozenset((w, m) for m, w in chosen)):
+                ours = apply_interviews(start, truth, given_pairs)
+                assert ours.base is False
+                for a in start.agents():
+                    x, y = ours.relations[a], expected.relations[a]
+                    assert (x.classes, x.level, x.extra, x.met) == \
+                        (y.classes, y.level, y.extra, y.met), a
+
+    def test_met_order_sorted_or_read_off_equals_keyed_sort(self):
+        # an agent that met under a third of the candidates it ranks has them
+        # sorted, any other reads them off its true order; both store the
+        # keyed sort's order
+        sorted_path = read_off = 0
+        for family in FAMILIES:
+            inst, truth = generate(family, n=24, seed=3, density=0.8)
+            pairs = inst.acceptable_pairs()
+            rng = random.Random(family)
+            for share in (0.05, 0.2, 0.6, 1.0):
+                chosen = frozenset(p for p in pairs if rng.random() < share)
+                ours = _apply_unchecked(inst, truth, chosen)
+                theirs = reference_apply(inst, truth, chosen)
+                for a in inst.agents():
+                    met = ours.relations[a].met
+                    assert met == theirs.relations[a].met, (family, share, a)
+                    if len(met) > 1:
+                        if _SORT_RATIO * len(met) < len(truth.ranking[a]):
+                            sorted_path += 1
+                        else:
+                            read_off += 1
+        assert sorted_path and read_off
+
     @settings(max_examples=300)
     @given(class_markets())
     def test_met_order_read_off_truth_equals_keyed_sort(self, market):
-        # with a truth that refines the base, each learned order read off the
-        # true order equals the interviewed candidates sorted by true rank,
-        # on the base, learned and relearned states and their edge-built twins
+        # with a truth that refines the base, each learned order equals the
+        # interviewed candidates sorted by true rank, on the base, learned
+        # and relearned states and their edge-built twins
         inst, truth, interviews, again = market
         assume(truth.refines(inst))
         learned = _apply_unchecked(inst, truth, interviews)

@@ -105,6 +105,22 @@ def classed(owner, acceptable, classes, extra=()):
     return Relation._of(owner, frozenset(acceptable), kept, level, frozenset(extra))
 
 
+class ReadCountingDict(dict):
+    """A relation map that counts the full walks over it."""
+
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+
+def counting_reads(instance):
+    """``instance`` with its relation map swapped for a counting copy."""
+    instance.relations = ReadCountingDict(instance.relations)
+    return instance
+
+
 def one_man_market(rel, base=True):
     """``rel`` as man 1's relation beside three women who accept him."""
     return Instance(1, 3, {rel.owner: rel, **{w: relation(w, [man(1)]) for w in CANDIDATES[:3]}},
@@ -285,12 +301,38 @@ class TestStrictProfile:
             ranking[a] = seq
             assert not StrictProfile(ranking).refines(inst), seq
 
+    def test_refines_remembers_the_last_instance_accepted(self, fig1):
+        truth = StrictProfile(fig1.truth.ranking)
+        accepted = counting_reads(Instance(2, 2, fig1.instance.relations))
+        # m1 ranks both women the other way round in a strict order
+        rejected = counting_reads(Instance(2, 2, {
+            **fig1.instance.relations,
+            man(1): tie_relation(man(1), [[c] for c in reversed(truth.ranking[man(1)])])}))
+        assert truth.refines(accepted) and accepted.relations.reads == 1
+        assert truth.refines(accepted) and accepted.relations.reads == 1
+        # a rejection is neither remembered nor replaces the accepted instance
+        for reads in (1, 2):
+            assert not truth.refines(rejected) and rejected.relations.reads == reads
+        assert truth.refines(accepted) and accepted.relations.reads == 1
+        # an equal but distinct instance is checked in full
+        twin = counting_reads(Instance(2, 2, fig1.instance.relations))
+        assert truth.refines(twin) and twin.relations.reads == 1
+        # an unpickled profile remembers nothing, not even the instance it
+        # was pickled with, and checks from scratch
+        copy, twin = pickle.loads(pickle.dumps((truth, twin)))
+        before = twin.relations.reads  # pickling walks the map too
+        assert copy.refines(twin) and twin.relations.reads == before + 1
+        assert copy.refines(twin) and twin.relations.reads == before + 1
+        assert not copy.refines(rejected)
+
     @settings(max_examples=400)
     @given(st.data())
     def test_refines_equals_per_class_reference(self, data):
         # disjoint classes drawn from all six candidates, so a class may hold
         # one outside the acceptable set, plus extra edges; the truth ranks
-        # the acceptable set in a random order
+        # the acceptable set in a random order, then may swap one place for a
+        # repeat of another acceptable candidate or for an outsider, so that
+        # as many classed candidates as ranked ones can still reject
         acceptable = data.draw(st.sets(st.sampled_from(CANDIDATES[:4]), min_size=1))
         order = data.draw(st.permutations(CANDIDATES))[:data.draw(st.integers(0, 6))]
         cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
@@ -300,7 +342,14 @@ class TestStrictProfile:
                                             st.sampled_from(CANDIDATES[:4])), max_size=2))
         inst = one_man_market(classed(man(1), acceptable, classes, extra))
         ranking = {w: (man(1),) for w in CANDIDATES[:3]}
-        ranking[man(1)] = tuple(data.draw(st.permutations(sorted(acceptable))))
+        seq = data.draw(st.permutations(sorted(acceptable)))
+        at = data.draw(st.integers(0, len(seq) - 1))
+        swap = data.draw(st.sampled_from(("none", "repeat", "outsider")))
+        if swap == "repeat" and len(seq) > 1:
+            seq[at] = data.draw(st.sampled_from(seq[:at] + seq[at + 1:]))
+        elif swap == "outsider":
+            seq[at] = data.draw(st.sampled_from(sorted(set(CANDIDATES) - acceptable)))
+        ranking[man(1)] = tuple(seq)
         truth = StrictProfile(ranking)
         assert truth.refines(inst) == reference_refines(truth, inst)
 

@@ -72,9 +72,10 @@ class TestBlockingPairs:
             assert strong <= weak <= very_weak
 
     def test_invalid_matching_rejected(self, fig1):
-        with pytest.raises(InvalidMatching):
-            blocking_pairs(fig1.instance, Matching([(man(1), woman(9))]),
-                           Blocking.WEAK)
+        # above the declared counts, and index 0 on either side
+        for pair in ((man(1), woman(9)), (man(0), woman(1)), (man(1), woman(0))):
+            with pytest.raises(InvalidMatching, match="outside declared agent counts"):
+                blocking_pairs(fig1.instance, Matching([pair]), Blocking.WEAK)
 
 
 @st.composite
