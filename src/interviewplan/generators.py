@@ -187,9 +187,11 @@ def cover_market_smt(graph: SimpleGraph) -> tuple[Instance, StrictProfile, Match
     for u, v in graph.edges:
         neighbors[u].add(v)
         neighbors[v].add(u)
+    # every man ranks the same single class, built once
+    full_tie = tie_relation(man(1), [all_women])
     rels = {}
     for i in range(1, n + 1):
-        rels[man(i)] = tie_relation(man(i), [all_women])
+        rels[man(i)] = full_tie.owned_by(man(i))
         top = frozenset({man(i)} | {man(j) for j in neighbors[i]})
         rels[woman(i)] = tie_relation(woman(i), [top, all_men - top])
     instance = Instance(n, n, rels)
@@ -259,15 +261,25 @@ def generate(family: str, *, n: int, seed: int, tiers: Iterable[int] | None = No
             else:
                 classes[a] = _random_partition(rng, mine, tie_cap)
 
+    # one relation per distinct class list: the shared families hand every
+    # agent on a side the same list, and each agent holds it re-owned
+    built = {}
     rels = {}
     ranking = {}
     for a in men_list + women_list:
-        rels[a] = tie_relation(a, classes[a])
+        mine = classes[a]
+        shared = built.get(id(mine))
+        if shared is None:
+            rels[a] = built[id(mine)] = tie_relation(a, mine)
+        else:
+            rels[a] = shared.owned_by(a)
         order = []
-        for group in classes[a]:
-            members = list(group)
-            rng.shuffle(members)
-            order.extend(members)
+        for group in mine:
+            if len(group) > 1:
+                # a one-member list would draw nothing from the shuffle
+                group = list(group)
+                rng.shuffle(group)
+            order.extend(group)
         ranking[a] = tuple(order)
     return Instance(n, n, rels), StrictProfile(ranking)
 

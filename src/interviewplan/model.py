@@ -97,7 +97,7 @@ class Relation:
     ``Relation(owner, acceptable, edges)`` stores explicit edges and no
     classes.  :func:`tie_relation` stores classes and no edges, and
     :meth:`learn` stores a met order while sharing the classes and
-    ``extra``.
+    ``extra``; :meth:`owned_by` hands every stored part to another owner.
 
     ``edges``, the set of all comparisons, is derived on every read: it
     costs O(d²) for a class-built or learned relation over d candidates, so
@@ -170,6 +170,16 @@ class Relation:
             return Relation._of(self.owner, self.acceptable, self.classes, self.level, extra)
         return Relation._of(self.owner, self.acceptable, self.classes, self.level,
                             self.extra, met)
+
+    def owned_by(self, owner: Agent) -> Relation:
+        """This relation held by ``owner``: the same candidates and
+        comparisons, sharing every stored part, so agents who rank the same
+        classes share one copy of them."""
+        rel = Relation.__new__(Relation)
+        rel.owner, rel.acceptable, rel.extra = owner, self.acceptable, self.extra
+        rel.classes, rel.level = self.classes, self.level
+        rel.met, rel.rank = self.met, self.rank
+        return rel
 
     def restricted(self, keep: frozenset[Agent]) -> Relation:
         """This relation over the candidates in ``keep`` only."""
@@ -256,6 +266,20 @@ class Instance:
             self._pairs = tuple(pairs)
         return self._pairs
 
+    def pair_count(self) -> int:
+        """How many mutually acceptable pairs there are, counted without
+        listing or sorting them unless the list is already built."""
+        if self._pairs is not None:
+            return len(self._pairs)
+        relations = self.relations
+        count = 0
+        for m in self._men:
+            for w in relations[m].acceptable:
+                rw = relations.get(w)
+                if rw is not None and m in rw.acceptable:
+                    count += 1
+        return count
+
     @property
     def kind(self) -> str:
         """Detected instance kind: one of smi, smt, smti, smpi."""
@@ -333,10 +357,6 @@ class StrictProfile:
         first from 0; empty for an agent the profile does not rank.  Built
         once with the profile: every call returns the same view."""
         return self._rank.get(a, _NO_LEVELS)
-
-    def prefers(self, a: Agent, c1: Agent, c2: Agent) -> bool:
-        ranks = self._rank[a]
-        return ranks[c1] < ranks[c2]
 
     def refines(self, instance: Instance) -> bool:
         """True when every agent ranks exactly its acceptable set and every

@@ -46,11 +46,11 @@ def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
     """
     if mode not in ("pure", "pruned"):
         raise ValueError(f"unknown mode {mode!r}")
-    pairs = instance.acceptable_pairs()
     cap = size_cap if size_cap is not None else (
         PURE_PAIR_CAP if mode == "pure" else PRUNED_PAIR_CAP)
-    if len(pairs) > cap:
-        raise SizeLimitExceeded(f"{len(pairs)} acceptable pairs exceed the cap of {cap}")
+    count = instance.pair_count()
+    if count > cap:
+        raise SizeLimitExceeded(f"{count} acceptable pairs exceed the cap of {cap}")
     if mode == "pure":
         # the fallback's reference: checks its inputs without analyze_blockers
         if not truth.refines(instance):
@@ -64,7 +64,7 @@ def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
         # analyze_blockers runs the same three checks, with the same errors
         report = analyze_blockers(instance, truth, matching)
         base = frozenset(report.pairs) | frozenset(report.mandated_pairs(matching))
-    universe = sorted(set(pairs) - base)
+    universe = sorted(set(instance.acceptable_pairs()) - base)
 
     for k in range(len(universe) + 1):
         for extra in itertools.combinations(universe, k):
@@ -86,14 +86,14 @@ def oracle_best_plan(instance: Instance, truth: StrictProfile,
     each candidate subset is screened against the truth's stable matchings;
     the winning subset is confirmed by exhaustive search over matchings.
     """
-    pairs = instance.acceptable_pairs()
-    if len(pairs) > size_cap:
-        raise SizeLimitExceeded(f"{len(pairs)} acceptable pairs exceed the cap of {size_cap}")
+    count = instance.pair_count()
+    if count > size_cap:
+        raise SizeLimitExceeded(f"{count} acceptable pairs exceed the cap of {size_cap}")
     if not truth.refines(instance):
         raise TruthInconsistent("strict profile does not refine the instance")
     candidates = stable_matchings(truth, matching_cap)
 
-    sorted_pairs = sorted(pairs)
+    sorted_pairs = instance.acceptable_pairs()
     for k in range(len(sorted_pairs) + 1):
         for chosen in itertools.combinations(sorted_pairs, k):
             chosen_set = frozenset(chosen)

@@ -80,8 +80,8 @@ class InterviewPlan:
 
 def naive_cost(instance: Instance) -> int:
     """Cost of the all-interviews baseline: one interview per mutually
-    acceptable pair."""
-    return len(instance.acceptable_pairs())
+    acceptable pair, counted without listing the pairs."""
+    return instance.pair_count()
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def plan_for_matching(instance: Instance, truth: StrictProfile,
     try:
         return _assemble_plan(instance, truth, matching, report)
     except InternalAssumptionViolated:
-        if len(instance.acceptable_pairs()) > FALLBACK_PAIR_CAP:
+        if instance.pair_count() > FALLBACK_PAIR_CAP:
             raise
         warnings.warn("structural assertion failed; falling back to exhaustive search",
                       RuntimeWarning, stacklevel=2)

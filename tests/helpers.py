@@ -1,13 +1,16 @@
 """Shared enumeration and checking helpers for the test suite."""
 
 import itertools
+from random import Random
 
 from hypothesis import strategies as st
 
 from interviewplan.blockers import analyze_blockers, is_resolved
+from interviewplan.generators import _random_mutual, _random_partition
 from interviewplan.interviews import apply_interviews, interview_cost
 from interviewplan.model import (
     MAN,
+    WOMAN,
     Instance,
     Matching,
     Relation,
@@ -64,6 +67,48 @@ def all_2x2_markets():
             for ranking in itertools.product(*truth_options):
                 truth = StrictProfile(dict(zip(agents, ranking)))
                 yield inst, truth
+
+
+def reference_generate(family, *, n, seed, tiers=None, tie_cap=3, density=1.0):
+    """Reference for ``generate`` on valid parameters: the same class lists
+    from the same random stream, then a ``tie_relation`` built for every
+    agent and a shuffle of every class, one-member classes included."""
+    rng = Random(seed)
+    men_list = [man(i) for i in range(1, n + 1)]
+    women_list = [woman(j) for j in range(1, n + 1)]
+    if family == "tiered":
+        sizes = list(tiers) if tiers is not None else [n]
+        bounds = list(itertools.accumulate(sizes, initial=1))
+        blocks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        men_classes = [[woman(j) for j in b] for b in blocks]
+        women_classes = [[man(i) for i in b] for b in blocks]
+        classes = {a: men_classes for a in men_list}
+        classes.update({a: women_classes for a in women_list})
+    elif family == "master_ties":
+        men_classes = _random_partition(rng, women_list, tie_cap)
+        women_classes = _random_partition(rng, men_list, tie_cap)
+        classes = {a: men_classes for a in men_list}
+        classes.update({a: women_classes for a in women_list})
+    else:
+        acceptable = _random_mutual(rng, men_list, women_list, density)
+        classes = {}
+        for a in men_list + women_list:
+            mine = sorted(acceptable[a])
+            if family == "one_side_strict" and a.side == WOMAN:
+                rng.shuffle(mine)
+                classes[a] = [[c] for c in mine]
+            else:
+                classes[a] = _random_partition(rng, mine, tie_cap)
+    rels, ranking = {}, {}
+    for a in men_list + women_list:
+        rels[a] = tie_relation(a, classes[a])
+        order = []
+        for group in classes[a]:
+            members = list(group)
+            rng.shuffle(members)
+            order.extend(members)
+        ranking[a] = tuple(order)
+    return Instance(n, n, rels), StrictProfile(ranking)
 
 
 def edge_twin(instance):

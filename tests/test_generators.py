@@ -1,7 +1,11 @@
+import pickle
+
 import pytest
+from helpers import reference_generate
 
 from interviewplan.errors import BadParams, DegreeTooHigh
 from interviewplan.generators import (
+    FAMILIES,
     SimpleGraph,
     connected_small_graphs,
     cover_market_smt,
@@ -10,10 +14,18 @@ from interviewplan.generators import (
     orient_bounded_degree,
     random_bounded_graph,
 )
-from interviewplan.model import man, validate_instance
+from interviewplan.model import (
+    MAN,
+    WOMAN,
+    Instance,
+    detect_tie_structure,
+    man,
+    tie_relation,
+    validate_instance,
+)
 from interviewplan.oracles import brute_force_cover, oracle_best_plan
-from interviewplan.solvers import naive_cost
-from interviewplan.stability import stable_matchings
+from interviewplan.solvers import naive_cost, plan_for_matching
+from interviewplan.stability import gale_shapley, stable_matchings
 
 
 def graph(n, edges):
@@ -123,6 +135,21 @@ class TestCoverMarketSmt:
         inst, truth, _, _ = cover_market_smt(star)
         assert validate_instance(inst).ok
 
+    def test_men_share_one_full_tie(self):
+        for seed in range(10):
+            g = random_bounded_graph(n=3 + seed % 4, max_degree=3, seed=seed)
+            inst, _, _, _ = cover_market_smt(g)
+            per_agent = dict(inst.relations)
+            for m in inst.men():
+                per_agent[m] = tie_relation(m, [inst.women()])
+            twin = Instance(g.n, g.n, per_agent)
+            assert inst == twin
+            assert dict(detect_tie_structure(inst)) == dict(detect_tie_structure(twin))
+            shared = inst.relations[man(1)]
+            for m in inst.men():
+                rel = inst.relations[m]
+                assert rel.owner == m and rel.classes is shared.classes
+
 
 class TestGenerate:
     def test_deterministic_given_seed(self):
@@ -188,6 +215,48 @@ class TestGenerate:
             generate("random_smti", n=3, seed=0, tie_cap=0)
         with pytest.raises(BadParams):
             generate("nope", n=3, seed=0)
+
+
+class TestSharedRelations:
+    def test_generate_equals_per_agent_build(self):
+        # one relation per distinct class list and no shuffle of a
+        # one-member class draw the same random stream as a tie_relation
+        # per agent and a shuffle per class
+        params = [dict(family=family, seed=seed, tie_cap=tie_cap, density=density)
+                  for family in FAMILIES for seed in range(5)
+                  for tie_cap in (1, 3, 8) for density in (0.3, 1.0)]
+        params += [dict(family="tiered", seed=seed, tiers=tiers)
+                   for seed in range(5) for tiers in ([7], [3, 4], [1, 2, 4], [1] * 7)]
+        for kwargs in params:
+            inst, truth = generate(n=7, **kwargs)
+            ref_inst, ref_truth = reference_generate(n=7, **kwargs)
+            assert inst == ref_inst, kwargs
+            assert truth.ranking == ref_truth.ranking, kwargs
+            assert all(rel.owner == a for a, rel in inst.relations.items()), kwargs
+
+    def test_shared_families_share_one_relation_per_side(self):
+        for family, kwargs in (("master_ties", {}), ("tiered", {"tiers": [2, 3, 4]})):
+            inst, _ = generate(family, n=9, seed=1, **kwargs)
+            for side in (inst.men(), inst.women()):
+                shared = inst.relations[side[0]]
+                for a in side:
+                    rel = inst.relations[a]
+                    assert rel.owner == a
+                    assert rel.classes is shared.classes and rel.level is shared.level
+                    assert rel.acceptable is shared.acceptable
+
+    def test_shared_relations_survive_a_pickle_round_trip(self):
+        inst, truth = generate("master_ties", n=12, seed=3)
+        copy, copy_truth = pickle.loads(pickle.dumps((inst, truth)))
+        assert copy == inst and copy_truth == truth
+        assert copy.relations[man(1)].level is copy.relations[man(2)].level
+        for side in (MAN, WOMAN):
+            mu = gale_shapley(truth, side)
+            plan = plan_for_matching(inst, truth, mu)
+            again = plan_for_matching(copy, copy_truth, mu)
+            assert (again.cost, again.interviews, again.breakdown, again.structure) == \
+                (plan.cost, plan.interviews, plan.breakdown, plan.structure)
+            assert again.refined == plan.refined
 
 
 class TestGraphEnumeration:

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from interviewplan import fixtures
 from interviewplan.errors import InterviewPlanError, ShapeMismatch, UnacceptableCandidate
 from interviewplan.formats import format_instance, parse_instance
-from interviewplan.generators import FAMILIES, generate
+from interviewplan.generators import (
+    FAMILIES,
+    cover_market_smt,
+    cover_market_smti,
+    generate,
+    random_bounded_graph,
+)
 from interviewplan.interviews import (
     _apply_unchecked,
     apply_interviews,
@@ -258,6 +264,37 @@ class TestCompare:
                                Comparison.PREFERS_SECOND: Comparison.PREFERS_FIRST,
                                Comparison.INCOMPARABLE: Comparison.INCOMPARABLE}
                     assert r21 == flipped[r12]
+
+
+def pair_count_markets():
+    """Fixtures, generated families, the cover markets, and markets that
+    accept across one side only: m1 accepts w2, who accepts nobody (the
+    acceptance a parse drops), and a woman outside the declared counts."""
+    for name in fixtures.FIXTURE_NAMES:
+        yield fixtures.load(name).instance
+    for family in FAMILIES:
+        for n in (1, 5):
+            yield generate(family, n=n, seed=n, density=0.6)[0]
+    for build in (cover_market_smti, cover_market_smt):
+        yield build(random_bounded_graph(6, 3, 2))[0]
+    one_sided = {man(1): relation(man(1), CANDIDATES[:5]),
+                 woman(1): relation(woman(1), [man(1)]),
+                 woman(2): relation(woman(2), ()),
+                 woman(3): relation(woman(3), [man(1)])}
+    yield Instance(1, 4, one_sided, base=False)
+
+
+class TestPairCount:
+    def test_count_equals_the_list_length(self):
+        for inst in pair_count_markets():
+            fresh = Instance(inst.n_men, inst.n_women, inst.relations, base=inst.base)
+            count = fresh.pair_count()
+            assert fresh._pairs is None  # counting lists nothing
+            pairs = fresh.acceptable_pairs()
+            assert count == len(pairs) == fresh.pair_count(), inst
+        # the last market: w1 and w3 accept m1 back, w2 and w4 do not, and
+        # w5 has no relation at all
+        assert inst.pair_count() == 2
 
 
 class TestStrictProfile:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from interviewplan import solvers
 from interviewplan.blockers import analyze_blockers, cover_graph
 from interviewplan.cli import main
-from interviewplan.errors import SizeLimitExceeded
+from interviewplan.errors import InternalAssumptionViolated, SizeLimitExceeded
 from interviewplan.generators import (
     FAMILIES,
     SimpleGraph,
@@ -27,7 +27,7 @@ from interviewplan.model import (
     validate_instance,
     woman,
 )
-from interviewplan.oracles import brute_force_cover, oracle_plan_for_matching
+from interviewplan.oracles import brute_force_cover, oracle_best_plan, oracle_plan_for_matching
 from interviewplan.solvers import (
     PlanStructure,
     _CoverSearch,
@@ -532,6 +532,36 @@ class TestClassBuiltMarkets:
         got = answers()
         monkeypatch.undo()
         assert got == expected
+
+    def test_counts_and_caps_never_build_the_pair_list(self, monkeypatch):
+        # the naive baseline counts the pairs, and every cap check counts
+        # them before it lists them, so a market over a cap is refused
+        # without its pair list
+        inst, truth = generate("master_ties", n=30, seed=0)
+        inst = Instance(30, 30, inst.relations)
+        mu = gale_shapley(truth, MAN)
+
+        def unbuilt(instance):
+            raise AssertionError("the acceptable-pair list was built")
+
+        def unsound(*args):
+            raise InternalAssumptionViolated("forced")
+
+        monkeypatch.setattr(Instance, "acceptable_pairs", unbuilt)
+        monkeypatch.setattr(solvers, "_assemble_plan", unsound)
+        assert naive_cost(inst) == 900
+        for mode, cap in (("pure", 16), ("pruned", 24)):
+            with pytest.raises(SizeLimitExceeded,
+                               match=f"^900 acceptable pairs exceed the cap of {cap}$"):
+                oracle_plan_for_matching(inst, truth, mu, mode=mode)
+        with pytest.raises(SizeLimitExceeded,
+                           match="^900 acceptable pairs exceed the cap of 18$"):
+            oracle_best_plan(inst, truth)
+        # past FALLBACK_PAIR_CAP the fallback re-raises without the oracle
+        with pytest.raises(InternalAssumptionViolated, match="^forced$"):
+            plan_for_matching(inst, truth, mu)
+        monkeypatch.undo()
+        assert len(inst.acceptable_pairs()) == 900
 
 
 class TestDenseMarkets:
