@@ -226,7 +226,7 @@ class Instance:
     """
 
     __slots__ = ("n_men", "n_women", "relations", "base", "_men", "_women",
-                 "_pairs", "_kind", "_ties")
+                 "_pairs", "_count", "_kind", "_ties")
 
     def __init__(self, n_men: int, n_women: int,
                  relations: Mapping[Agent, Relation], base: bool = True):
@@ -242,6 +242,7 @@ class Instance:
         self.relations = rels
         self.base = base
         self._pairs = None
+        self._count = None
         self._kind = None
         self._ties = None
 
@@ -267,18 +268,21 @@ class Instance:
         return self._pairs
 
     def pair_count(self) -> int:
-        """How many mutually acceptable pairs there are, counted without
-        listing or sorting them unless the list is already built."""
+        """How many mutually acceptable pairs there are: the length of the
+        list once it is built, and otherwise counted once, without listing
+        or sorting them, and kept on the instance."""
         if self._pairs is not None:
             return len(self._pairs)
-        relations = self.relations
-        count = 0
-        for m in self._men:
-            for w in relations[m].acceptable:
-                rw = relations.get(w)
-                if rw is not None and m in rw.acceptable:
-                    count += 1
-        return count
+        if self._count is None:
+            relations = self.relations
+            count = 0
+            for m in self._men:
+                for w in relations[m].acceptable:
+                    rw = relations.get(w)
+                    if rw is not None and m in rw.acceptable:
+                        count += 1
+            self._count = count
+        return self._count
 
     @property
     def kind(self) -> str:

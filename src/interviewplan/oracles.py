@@ -52,7 +52,7 @@ def oracle_plan_for_matching(instance: Instance, truth: StrictProfile,
     if count > cap:
         raise SizeLimitExceeded(f"{count} acceptable pairs exceed the cap of {cap}")
     if mode == "pure":
-        # the fallback's reference: checks its inputs without analyze_blockers
+        # the independent reference: checks its inputs without analyze_blockers
         if not truth.refines(instance):
             raise TruthInconsistent("strict profile does not refine the instance")
         check_matching(instance, matching)

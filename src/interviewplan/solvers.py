@@ -18,7 +18,6 @@ nodes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Generator, Iterator
@@ -35,7 +34,6 @@ from .model import (
 )
 from .stability import Stability, is_stable, stable_matchings
 
-FALLBACK_PAIR_CAP = 20
 # search nodes one min_vertex_cover call may expand before it gives up
 COVER_NODE_BUDGET = 250_000
 
@@ -317,32 +315,12 @@ def plan_for_matching(instance: Instance, truth: StrictProfile,
     The schedule is the union of all potential blocker pairs, the mandated
     matched pairs, and the matched pairs chosen by a minimum vertex cover
     of the blocker graph.  The resulting knowledge state is re-checked for
-    super-stability of the target; if any structural assertion fails the
-    solver falls back to exhaustive search (within ``FALLBACK_PAIR_CAP``
-    mutually acceptable pairs) rather than return an unverified optimum.
-    A cover search past ``COVER_NODE_BUDGET`` nodes raises
-    ``SizeLimitExceeded``, with no fallback.
+    super-stability of the target.  A failed structural assertion raises
+    ``InternalAssumptionViolated``, and a cover search past
+    ``COVER_NODE_BUDGET`` nodes raises ``SizeLimitExceeded``; nothing falls
+    back to another solver.
     """
     report = analyze_blockers(instance, truth, matching)
-    try:
-        return _assemble_plan(instance, truth, matching, report)
-    except InternalAssumptionViolated:
-        if instance.pair_count() > FALLBACK_PAIR_CAP:
-            raise
-        warnings.warn("structural assertion failed; falling back to exhaustive search",
-                      RuntimeWarning, stacklevel=2)
-        from .oracles import oracle_plan_for_matching
-
-        cost, interviews = oracle_plan_for_matching(instance, truth, matching,
-                                                    mode="pure", size_cap=FALLBACK_PAIR_CAP)
-        refined = apply_interviews(instance, truth, interviews)
-        return InterviewPlan(cost, interviews, refined, report,
-                             cost - len(report.blockers) - len(report.mandated_men),
-                             PlanStructure.GENERAL)
-
-
-def _assemble_plan(instance: Instance, truth: StrictProfile,
-                   matching: Matching, report: BlockerReport) -> InterviewPlan:
     graph = cover_graph(report, matching)
     cover = min_vertex_cover(graph)
     blocker_pairs = set(report.pairs)

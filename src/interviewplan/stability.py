@@ -26,6 +26,7 @@ man's open candidates, so it never lists every acceptable pair.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,7 @@ from .model import (
     Pair,
     Relation,
     StrictProfile,
+    detect_tie_structure,
     linear_extensions,
 )
 
@@ -313,17 +315,28 @@ def extension_agreement(instance: Instance, matching: Matching,
     """
     check_matching(instance, matching)
     agents = instance.agents()
+    ties = detect_tie_structure(instance)
     per_agent: list[list[dict[Agent, int]]] = []
     product = 1
     for a in agents:
-        exts, overflow = linear_extensions(instance, a, cap=product_cap + 1)
-        if overflow:
+        if ties[a] is None:
+            exts, overflow = linear_extensions(instance, a, cap=product_cap + 1)
+            # an overflow stops one past the enumeration cap
+            count = len(exts) + overflow
+        else:
+            # ordered classes have exactly prod |C|! extensions, so both caps
+            # are decided before any enumeration
+            exts = None
+            count = math.prod(math.factorial(len(c)) for c in ties[a].classes)
+        if count > product_cap + 1:
             raise SizeLimitExceeded(
                 f"{a} has more than {product_cap} linear extensions")
-        product *= len(exts)
+        product *= count
         if product > product_cap:
             raise SizeLimitExceeded(
                 f"extension profile space exceeds the cap of {product_cap}")
+        if exts is None:
+            exts, _ = linear_extensions(instance, a, cap=product_cap + 1)
         per_agent.append([{c: i for i, c in enumerate(ext)} for ext in exts])
 
     super_verdict = not any(_very_weak_blockers(instance, matching))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import interviewplan
+from interviewplan import cli, stability
 from interviewplan.cli import main
 from interviewplan.formats import (
     format_instance,
@@ -14,6 +15,7 @@ from interviewplan.formats import (
     parse_certificate,
 )
 from interviewplan.fixtures import load
+from interviewplan.generators import generate
 from interviewplan.interviews import apply_interviews
 from interviewplan.model import interview_set, man, woman
 
@@ -154,6 +156,41 @@ class TestCheck:
         assert code == 0
         assert ("  super-stability vs completions: skipped "
                 "(m1 has more than 100000 linear extensions)\n") in stdout
+
+    @pytest.mark.parametrize("cap, skipped", [
+        (100000, "extension profile space exceeds the cap of 100000"),
+        (1000, "m1 has more than 1000 linear extensions"),
+    ])
+    def test_completion_cross_check_skips_class_markets_as_enumeration_does(
+            self, capsys, tmp_path, monkeypatch, cap, skipped):
+        # with no agent read as ordered classes, every agent's extensions
+        # are enumerated to decide the caps; the counted path must print
+        # the same report, and enumerate nothing for the agent it refuses
+        inst, truth = generate("master_ties", n=20, seed=0)
+        paths = []
+        for name, text in (("instance", format_instance(inst)),
+                           ("truth", format_truth(truth)),
+                           ("matching", format_matching(stability.gale_shapley(truth)))):
+            (tmp_path / f"mt.{name}").write_text(text, encoding="utf-8")
+            paths.append(str(tmp_path / f"mt.{name}"))
+        argv = ("check", paths[0], "--truth", paths[1], "--matching", paths[2])
+        monkeypatch.setattr(cli, "EXTENSION_PRODUCT_CAP", cap)
+        counted = run(capsys, *argv)
+        assert f"  super-stability vs completions: skipped ({skipped})\n" in counted[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(stability, "detect_tie_structure", lambda instance: dict.fromkeys(
+                instance.agents()))
+            assert run(capsys, *argv) == counted
+        enumerated = []
+        real = stability.linear_extensions
+
+        def logged(instance, a, cap):
+            enumerated.append(a)
+            return real(instance, a, cap)
+
+        monkeypatch.setattr(stability, "linear_extensions", logged)
+        assert run(capsys, *argv) == counted
+        assert len(enumerated) == (1 if cap == 100000 else 0)
 
     def test_existence_check_names_its_cap_when_skipped(self, capsys, fig1_files):
         _, paths = fig1_files

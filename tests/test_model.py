@@ -296,6 +296,35 @@ class TestPairCount:
         # w5 has no relation at all
         assert inst.pair_count() == 2
 
+    def test_a_second_count_does_no_work(self):
+        # the count is kept on the instance, or read off a built list, so
+        # no later count reads a relation; either call order agrees
+        class CountedReads(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                self.reads += 1
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                self.reads += 1
+                return super().get(key, default)
+
+        for inst in pair_count_markets():
+            for list_first in (False, True):
+                fresh = Instance(inst.n_men, inst.n_women, inst.relations, base=inst.base)
+                fresh.relations = relations = CountedReads(fresh.relations)
+                if list_first:
+                    pairs = fresh.acceptable_pairs()
+                done = relations.reads
+                count = fresh.pair_count()
+                if list_first:
+                    assert relations.reads == done
+                done = relations.reads
+                assert fresh.pair_count() == count
+                assert relations.reads == done
+                assert count == len(fresh.acceptable_pairs()), inst
+
 
 class TestStrictProfile:
     def test_ranks_is_a_read_only_rank_map(self, fig1):

@@ -1,4 +1,5 @@
 import warnings
+from importlib.resources import files
 
 import pytest
 from helpers import bb_cover_size, edge_twin, reference_min_vertex_cover, search_cover_size
@@ -218,15 +219,10 @@ class TestCoverBudget:
             min_vertex_cover(g)
 
     def test_plan_for_matching_raises_without_falling_back(self, monkeypatch):
-        # the star's market has 7 acceptable pairs, within the fallback's
-        # cap, yet a spent budget is not an assertion failure to fall back on
         inst, truth, matching, _ = cover_market_smti(graph(4, [(1, 2), (1, 3), (1, 4)]))
-        assert len(inst.acceptable_pairs()) <= solvers.FALLBACK_PAIR_CAP
         monkeypatch.setattr(solvers, "COVER_NODE_BUDGET", 0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SizeLimitExceeded, match="budget of 0 nodes"):
-                plan_for_matching(inst, truth, matching)
+        with pytest.raises(SizeLimitExceeded, match="budget of 0 nodes"):
+            plan_for_matching(inst, truth, matching)
 
     def test_solve_exits_one_with_the_message(self, monkeypatch, tmp_path, capsys):
         (tmp_path / "star.graph").write_text("graph 4 3\n1 2\n1 3\n1 4\n", encoding="utf-8")
@@ -282,16 +278,14 @@ class TestPlanForMatching:
         assert plan.interviews == frozenset()
 
     def test_matches_oracle_on_random_markets(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no solver fallback expected
-            for seed in range(120):
-                inst, truth = generate("random_smti", n=4, seed=seed,
-                                       tie_cap=3, density=0.8)
-                mu = gale_shapley(truth)
-                plan = plan_for_matching(inst, truth, mu)
-                cost, _ = oracle_plan_for_matching(inst, truth, mu)
-                assert plan.cost == cost
-                assert is_stable(plan.refined, mu, Stability.SUPER)
+        for seed in range(120):
+            inst, truth = generate("random_smti", n=4, seed=seed,
+                                   tie_cap=3, density=0.8)
+            mu = gale_shapley(truth)
+            plan = plan_for_matching(inst, truth, mu)
+            cost, _ = oracle_plan_for_matching(inst, truth, mu)
+            assert plan.cost == cost
+            assert is_stable(plan.refined, mu, Stability.SUPER)
 
     @settings(max_examples=200)
     @given(st.data())
@@ -322,14 +316,12 @@ class TestPlanForMatching:
         assert validate_instance(inst).ok
         truth = StrictProfile({a: draw(st.sampled_from(linear_extensions(inst, a)[0]))
                                for a in men + women})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no solver fallback expected
-            for side in (MAN, WOMAN):
-                mu = gale_shapley(truth, side)
-                plan = plan_for_matching(inst, truth, mu)
-                cost, _ = oracle_plan_for_matching(inst, truth, mu)
-                assert plan.cost == cost
-                assert is_stable(plan.refined, mu, Stability.SUPER)
+        for side in (MAN, WOMAN):
+            mu = gale_shapley(truth, side)
+            plan = plan_for_matching(inst, truth, mu)
+            cost, _ = oracle_plan_for_matching(inst, truth, mu)
+            assert plan.cost == cost
+            assert is_stable(plan.refined, mu, Stability.SUPER)
 
     def test_cost_at_least_forced_interviews(self):
         for seed in range(60):
@@ -377,12 +369,34 @@ class TestPlanForMatching:
         })
         mu = gale_shapley(truth)
         assert mu.partner(man(3)) is None
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            plan = plan_for_matching(inst, truth, mu)
+        plan = plan_for_matching(inst, truth, mu)
         cost, _ = oracle_plan_for_matching(inst, truth, mu, mode="pure")
         assert plan.cost == cost
         assert is_stable(plan.refined, mu, Stability.SUPER)
+
+    def test_failed_assertion_raises_without_falling_back(self, fig1, monkeypatch, capsys,
+                                                          tmp_path):
+        # fig1 has 4 acceptable pairs, few enough for the exhaustive oracle,
+        # yet a failed re-check raises and no other solver answers instead
+        monkeypatch.setattr(solvers, "is_stable", lambda *args: False)
+        message = "schedule does not make the target super-stable"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InternalAssumptionViolated, match=f"^{message}$"):
+                plan_for_matching(fig1.instance, fig1.truth, fig1.matching)
+            with pytest.raises(InternalAssumptionViolated, match=f"^{message}$"):
+                best_plan(fig1.instance, fig1.truth)
+        assert caught == []
+        data = files("interviewplan").joinpath("data")
+        capsys.readouterr()
+        assert main(["solve", str(data / "fig1.instance"), str(data / "fig1.truth"),
+                     "--matching", str(data / "fig1.matching")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        out = tmp_path / "rows.csv"
+        assert main(["bench", "--family", "vc3-smti", "--max-n", "3",
+                     "--omit-runtime", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert rows and all(cells[14] == message for cells in rows)
 
 
 class TestStructureDetection:
@@ -544,11 +558,7 @@ class TestClassBuiltMarkets:
         def unbuilt(instance):
             raise AssertionError("the acceptable-pair list was built")
 
-        def unsound(*args):
-            raise InternalAssumptionViolated("forced")
-
         monkeypatch.setattr(Instance, "acceptable_pairs", unbuilt)
-        monkeypatch.setattr(solvers, "_assemble_plan", unsound)
         assert naive_cost(inst) == 900
         for mode, cap in (("pure", 16), ("pruned", 24)):
             with pytest.raises(SizeLimitExceeded,
@@ -557,9 +567,6 @@ class TestClassBuiltMarkets:
         with pytest.raises(SizeLimitExceeded,
                            match="^900 acceptable pairs exceed the cap of 18$"):
             oracle_best_plan(inst, truth)
-        # past FALLBACK_PAIR_CAP the fallback re-raises without the oracle
-        with pytest.raises(InternalAssumptionViolated, match="^forced$"):
-            plan_for_matching(inst, truth, mu)
         monkeypatch.undo()
         assert len(inst.acceptable_pairs()) == 900
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from helpers import (
@@ -15,13 +16,16 @@ from hypothesis import strategies as st
 
 from interviewplan.blockers import PotentialBlocker, analyze_blockers, is_resolved
 from interviewplan.errors import InvalidMatching, SizeLimitExceeded
-from interviewplan.generators import generate
+from interviewplan import fixtures, stability
+from interviewplan.generators import FAMILIES, generate
 from interviewplan.interviews import _apply_unchecked, apply_interviews
 from interviewplan.model import (
     Instance,
     Matching,
     Relation,
+    detect_tie_structure,
     interview_set,
+    linear_extensions,
     man,
     tie_relation,
     woman,
@@ -343,3 +347,59 @@ class TestExtensionAgreement:
                                  (man(1), woman(3))])
         refined = apply_interviews(mt3.instance, mt3.truth, partial)
         assert extension_agreement(refined, mt3.matching, product_cap=60000)
+
+    def test_class_counts_match_enumeration(self):
+        # an agent of ordered classes C has exactly prod |C|! extensions,
+        # whether its relation is built from classes or from edges
+        markets = [fixtures.load(name).instance for name in fixtures.FIXTURE_NAMES]
+        markets += [generate(family, n=n, seed=seed)[0] for family in FAMILIES
+                    for n in range(2, 6) for seed in range(4)]
+        checked = 0
+        for inst in markets + [edge_twin(inst) for inst in markets]:
+            for a, shape in detect_tie_structure(inst).items():
+                if shape is not None:
+                    exts, overflow = linear_extensions(inst, a)
+                    assert not overflow
+                    assert len(exts) == math.prod(math.factorial(len(c)) for c in shape.classes)
+                    checked += 1
+        assert checked > 400
+
+    @settings(max_examples=150)
+    @given(class_markets(), st.integers(1, 40))
+    def test_caps_raise_as_enumeration_does(self, market, cap):
+        # the reference enumerates every agent's extensions, in agent order,
+        # to decide the two caps
+        inst = market[0]
+        expected = None
+        product = 1
+        for a in inst.agents():
+            exts, overflow = linear_extensions(inst, a, cap=cap + 1)
+            if overflow:
+                expected = f"{a} has more than {cap} linear extensions"
+                break
+            product *= len(exts)
+            if product > cap:
+                expected = f"extension profile space exceeds the cap of {cap}"
+                break
+        try:
+            extension_agreement(inst, Matching(()), product_cap=cap)
+        except SizeLimitExceeded as err:
+            assert str(err) == expected
+        else:
+            assert expected is None
+
+    def test_over_cap_classes_are_never_enumerated(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("linear extensions were enumerated")
+
+        inst, truth = generate("master_ties", n=50, seed=0)
+        mu = gale_shapley(truth)
+        monkeypatch.setattr(stability, "linear_extensions", unused)
+        with pytest.raises(SizeLimitExceeded,
+                           match="^m1 has more than 100000 linear extensions$"):
+            extension_agreement(inst, mu, product_cap=100000)
+        # m1 has 4! orders: one past the cap is the profile space's to refuse
+        tied = Instance(1, 4, {man(1): tie_relation(man(1), [[woman(j) for j in range(1, 5)]])})
+        with pytest.raises(SizeLimitExceeded,
+                           match="^extension profile space exceeds the cap of 23$"):
+            extension_agreement(tied, Matching(()), product_cap=23)
