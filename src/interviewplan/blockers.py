@@ -16,6 +16,7 @@ cover problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -32,7 +33,7 @@ from .model import (
     Pair,
     StrictProfile,
 )
-from .stability import _open, _true_cut, _very_weak_blockers, check_matching, weakly_stable_under
+from .stability import _open, _true_cut, _very_weak_rows, check_matching, weakly_stable_under
 
 
 class PotentialBlocker(NamedTuple):
@@ -74,7 +75,7 @@ class BlockerReport:
 
     @property
     def pairs(self) -> tuple[Pair, ...]:
-        return tuple(b.pair for b in self.blockers)
+        return tuple(map(itemgetter(0, 1), self.blockers))
 
     @property
     def degree1(self) -> tuple[PotentialBlocker, ...]:
@@ -121,25 +122,39 @@ def analyze_blockers(instance: Instance, truth: StrictProfile,
         raise MatchingNotWeaklyStable(
             "target matching has a blocking pair under the true preferences")
 
-    blockers = []
+    # Classified row by row: the man's true cut is read once per row and
+    # each woman's once per call.  Each blocker is built by the C-level
+    # tuple constructor, skipping the NamedTuple's Python-level ``__new__``.
+    new = tuple.__new__
+    blockers: list[PotentialBlocker] = []
+    mutual: list[PotentialBlocker] = []
     admirers: dict[Agent, set[Agent]] = {}
     cuts: dict[Agent, tuple[Mapping[Agent, int], int]] = {}
-    for m, w in _very_weak_blockers(instance, matching):
-        ranks, cut = cuts.get(m) or cuts.setdefault(m, _true_cut(truth, matching, m))
-        man_keen = ranks[w] < cut
-        ranks, cut = cuts.get(w) or cuts.setdefault(w, _true_cut(truth, matching, w))
-        woman_keen = ranks[m] < cut
-        if man_keen and woman_keen:
-            # would be a strong blocker of the truth, excluded above
-            raise InternalAssumptionViolated(f"({m}, {w}) blocks the truth")
-        if man_keen:
-            blockers.append(PotentialBlocker(m, w, 1, MAN))
-            admirers.setdefault(w, set()).add(m)
-        elif woman_keen:
-            blockers.append(PotentialBlocker(m, w, 1, WOMAN))
-            admirers.setdefault(m, set()).add(w)
-        else:
-            blockers.append(PotentialBlocker(m, w, 2))
+    for m, row in _very_weak_rows(instance, matching):
+        ranks_m, cut_m = _true_cut(truth, matching, m)
+        fans_m = None  # the women in this row who truly prefer m
+        for w in row:
+            ranks_w, cut_w = cuts.get(w) or cuts.setdefault(w, _true_cut(truth, matching, w))
+            woman_keen = ranks_w[m] < cut_w
+            if ranks_m[w] < cut_m:
+                if woman_keen:
+                    # would be a strong blocker of the truth, excluded above
+                    raise InternalAssumptionViolated(f"({m}, {w}) blocks the truth")
+                blockers.append(new(PotentialBlocker, (m, w, 1, MAN)))
+                fans_w = admirers.get(w)
+                if fans_w is None:
+                    admirers[w] = {m}
+                else:
+                    fans_w.add(m)
+            elif woman_keen:
+                blockers.append(new(PotentialBlocker, (m, w, 1, WOMAN)))
+                if fans_m is None:
+                    fans_m = admirers[m] = set()
+                fans_m.add(w)
+            else:
+                b = new(PotentialBlocker, (m, w, 2, None))
+                blockers.append(b)
+                mutual.append(b)
     admirer_map = {a: frozenset(cs) for a, cs in admirers.items()}
 
     for a in admirer_map:
@@ -152,11 +167,8 @@ def analyze_blockers(instance: Instance, truth: StrictProfile,
         if admirer_map.get(m) or admirer_map.get(w):
             mandated.add(m)
 
-    open_mutual = tuple(
-        b for b in blockers
-        if b.degree == 2
-        and b.man not in mandated
-        and matching.partner(b.woman) not in mandated)
+    open_mutual = tuple(b for b in mutual if b.man not in mandated
+                        and matching.partner(b.woman) not in mandated)
 
     return BlockerReport(tuple(blockers), admirer_map, frozenset(mandated), open_mutual)
 

@@ -52,12 +52,16 @@ def _learned(instance: Instance, truth: StrictProfile,
              met: Mapping[Agent, AbstractSet[Agent]]) -> Instance:
     # The learn core behind both applies: every agent that met two or more
     # candidates learns their true order.  The truth must rank every
-    # candidate an agent met, as ``refines`` guarantees.
+    # candidate an agent met, as ``refines`` guarantees, so an agent that
+    # met as many candidates as it ranks met exactly its list.
     rels = dict(instance.relations)
     for a, cands in met.items():
         if len(cands) > 1:
             order = truth.ranking[a]
-            if len(cands) * _SORT_RATIO < len(order):
+            if len(cands) == len(order):
+                # it met exactly its list: the truth's order and rank map
+                rels[a] = rels[a].learn(order, truth._rank[a])
+            elif len(cands) * _SORT_RATIO < len(order):
                 rels[a] = rels[a].learn(sorted(cands, key=truth.ranks(a).__getitem__))
             else:
                 rels[a] = rels[a].learn([c for c in order if c in cands])
@@ -92,9 +96,11 @@ def apply_interviews(instance: Instance, truth: StrictProfile,
         raise TruthInconsistent("strict profile does not refine the instance")
     met: defaultdict[Agent, set[Agent]] = defaultdict(set)
     for pair in interviews:
-        m, w = couple(*pair)
-        met[m].add(w)
-        met[w].add(m)
+        a, b = pair
+        if a.side == b.side:
+            raise ValueError(f"pair {a}, {b} is not a man-woman pair")
+        met[a].add(b)
+        met[b].add(a)
     relations = instance.relations
     for a, cands in met.items():
         rel = relations.get(a)  # None for an agent outside the declared counts

@@ -72,9 +72,11 @@ def couple(a: Agent, b: Agent) -> Pair:
 
 
 _UNCLASSED = sys.maxsize
-_NO_LEVELS: Mapping[Agent, int] = MappingProxyType({})
-# the rank map of every relation that met no one, shared and never written; a
-# plain dict, unlike _NO_LEVELS, so that class-built relations still pickle
+# the view ranks() returns for an agent the profile does not rank
+_NO_VIEW: Mapping[Agent, int] = MappingProxyType({})
+# the level map of every edge-built relation and the rank map of every
+# relation that met no one, shared and never written; a plain dict, unlike
+# _NO_VIEW, so that every relation pickles
 _NO_RANKS: Mapping[Agent, int] = {}
 
 
@@ -114,7 +116,7 @@ class Relation:
         self.owner = owner
         self.acceptable = acceptable
         self.classes: tuple[frozenset[Agent], ...] = ()
-        self.level = _NO_LEVELS
+        self.level = _NO_RANKS
         self.extra = edges
         self.met: tuple[Agent, ...] = ()
         self.rank = _NO_RANKS
@@ -122,12 +124,15 @@ class Relation:
     @classmethod
     def _of(cls, owner: Agent, acceptable: frozenset[Agent],
             classes: tuple[frozenset[Agent], ...], level: Mapping[Agent, int],
-            extra: frozenset[Pair], met: tuple[Agent, ...] = ()) -> Relation:
+            extra: frozenset[Pair], met: tuple[Agent, ...] = (),
+            rank: Optional[dict[Agent, int]] = None) -> Relation:
         rel = cls.__new__(cls)
         rel.owner, rel.acceptable, rel.extra = owner, acceptable, extra
         rel.classes, rel.level = classes, level
         rel.met = met
-        rel.rank = {c: i for i, c in enumerate(met)} if met else _NO_RANKS
+        if rank is None:
+            rank = dict(zip(met, range(len(met)))) if met else _NO_RANKS
+        rel.rank = rank
         return rel
 
     @property
@@ -157,9 +162,13 @@ class Relation:
     def comparable(self, c1: Agent, c2: Agent) -> bool:
         return self.prefers(c1, c2) or self.prefers(c2, c1)
 
-    def learn(self, ordered: Sequence[Agent]) -> Relation:
+    def learn(self, ordered: Sequence[Agent],
+              rank: Optional[dict[Agent, int]] = None) -> Relation:
         """This relation after meeting the candidates in ``ordered``, given
         best first: each of them is now preferred to every later one.
+        ``rank``, when given, is the map from each of them to its position
+        in ``ordered``; it is shared, never written, so a learner that met
+        its whole list can hold the truth's own rank map.
 
         A relation that already holds a met order keeps both orders as
         literal pairs in ``extra`` and holds no met order afterwards."""
@@ -169,7 +178,7 @@ class Relation:
                                      itertools.combinations(met, 2))
             return Relation._of(self.owner, self.acceptable, self.classes, self.level, extra)
         return Relation._of(self.owner, self.acceptable, self.classes, self.level,
-                            self.extra, met)
+                            self.extra, met, rank)
 
     def owned_by(self, owner: Agent) -> Relation:
         """This relation held by ``owner``: the same candidates and
@@ -245,6 +254,13 @@ class Instance:
         self._count = None
         self._kind = None
         self._ties = None
+
+    def __reduce__(self):
+        # rebuilt from its parts, so every cache starts empty: the tie
+        # structure's read-only map among them does not pickle.  The
+        # relation map is then put back as it was, of its own type.
+        return (Instance, (self.n_men, self.n_women, self.relations, self.base),
+                (None, {"relations": self.relations}))
 
     def men(self) -> list[Agent]:
         return list(self._men)
@@ -337,12 +353,15 @@ def tie_relation(owner: Agent, classes: Iterable[Iterable[Agent]]) -> Relation:
 class StrictProfile:
     """The true underlying preferences: one total order per agent."""
 
-    __slots__ = ("ranking", "_rank", "_refined")
+    __slots__ = ("ranking", "_rank", "_views", "_refined")
 
     def __init__(self, ranking: Mapping[Agent, Sequence[Agent]]):
         self.ranking = {a: tuple(seq) for a, seq in ranking.items()}
-        self._rank = {a: MappingProxyType({c: i for i, c in enumerate(seq)})
+        # the plain rank maps, which a learner that met its whole list
+        # shares, and the read-only views of them that ranks() hands out
+        self._rank = {a: {c: i for i, c in enumerate(seq)}
                       for a, seq in self.ranking.items()}
+        self._views = {a: MappingProxyType(r) for a, r in self._rank.items()}
         self._refined: Optional[Instance] = None
 
     def __reduce__(self):
@@ -360,7 +379,7 @@ class StrictProfile:
         """Read-only map from each candidate ``a`` ranks to its position, best
         first from 0; empty for an agent the profile does not rank.  Built
         once with the profile: every call returns the same view."""
-        return self._rank.get(a, _NO_LEVELS)
+        return self._views.get(a, _NO_VIEW)
 
     def refines(self, instance: Instance) -> bool:
         """True when every agent ranks exactly its acceptable set and every
@@ -381,7 +400,7 @@ class StrictProfile:
             return True
         for a, rel in instance.relations.items():
             seq = self.ranking.get(a, ())
-            ranks = self._rank.get(a, _NO_LEVELS)
+            ranks = self._rank.get(a, _NO_VIEW)
             # a ranking as long as the acceptable set that ranks all of it
             # ranks nothing else and nothing twice; a class may still hold
             # a candidate outside the acceptable set

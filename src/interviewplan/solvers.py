@@ -329,7 +329,8 @@ def plan_for_matching(instance: Instance, truth: StrictProfile,
     if (blocker_pairs & mandated_pairs or blocker_pairs & cover_pairs
             or mandated_pairs & cover_pairs):
         raise InternalAssumptionViolated("schedule parts are not disjoint")
-    interviews = frozenset(blocker_pairs | mandated_pairs | cover_pairs)
+    # one insertion per pair, reusing the hashes each part has stored
+    interviews = frozenset().union(blocker_pairs, mandated_pairs, cover_pairs)
     refined = apply_interviews(instance, truth, interviews)
     if not is_stable(refined, matching, Stability.SUPER):
         raise InternalAssumptionViolated("schedule does not make the target super-stable")

@@ -10,9 +10,11 @@ Weak, strong and super stability are the absence of, respectively, strong,
 weak and very weak blocking pairs.  On strict instances the three notions
 coincide.
 
-One scan, :func:`_very_weak_blockers`, decides very weak blocking; every
-strong or weak blocker is also a very weak one, so the other levels are
-filters over it.  Like Irving's super-stability algorithm, the scan reads
+One scan, :func:`_very_weak_rows`, decides very weak blocking: it yields
+one row per man, the man and his very weak blocking partners in sorted
+order, and :func:`_very_weak_blockers` flattens the rows into pairs.
+Every strong or weak blocker is also a very weak one, so the other levels
+are filters over it.  Like Irving's super-stability algorithm, the scan reads
 each agent's position relative to its partner rather than comparing pair
 by pair.  An agent's open candidates are every acceptable one when it is
 unmatched, and otherwise those it does not prefer its partner to: not in
@@ -30,6 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import AbstractSet, Iterator, Mapping, Optional
 
 from .errors import InvalidMatching, SizeLimitExceeded
@@ -135,18 +138,20 @@ def _open(rel: Relation, partner: Optional[Agent]) -> AbstractSet[Agent]:
     return out
 
 
-def _very_weak_blockers(instance: Instance, matching: Matching) -> Iterator[Pair]:
+def _very_weak_rows(instance: Instance,
+                    matching: Matching) -> Iterator[tuple[Agent, list[Agent]]]:
     # Unchecked: the caller validates the matching.  A pair very weakly
     # blocks when each member leaves the other open, which also makes it
     # mutually acceptable and unmatched.  Each man, in index order, reads
-    # only his open candidates; a woman's open set is built the first time
-    # the scan reaches her.  Each man's women are sorted, so the pairs come
-    # in ascending order, as in ``Instance.acceptable_pairs``.
+    # only his open candidates and yields those who leave him open too as
+    # one sorted row, if there are any; a woman's open set is built the
+    # first time the scan reaches her.
     relations = instance.relations
     partner = matching.partner
+    by_index, by_side = itemgetter(1), itemgetter(0)
     opens: dict[Agent, AbstractSet[Agent]] = {}
     for m in instance.men():
-        found = []
+        row = []
         for w in _open(relations[m], partner(m)):
             open_w = opens.get(w)
             if open_w is None:
@@ -155,9 +160,20 @@ def _very_weak_blockers(instance: Instance, matching: Matching) -> Iterator[Pair
                     continue
                 open_w = opens[w] = _open(rel, partner(w))
             if m in open_w:
-                found.append(w)
-        found.sort()
-        for w in found:
+                row.append(w)
+        if row:
+            # by index, then stably by side: the agents' own order, without
+            # comparing the agents as tuples, which costs twice as much
+            row.sort(key=by_index)
+            row.sort(key=by_side)
+            yield m, row
+
+
+def _very_weak_blockers(instance: Instance, matching: Matching) -> Iterator[Pair]:
+    # The rows flattened: the pairs come in ascending order, as in
+    # ``Instance.acceptable_pairs``.
+    for m, row in _very_weak_rows(instance, matching):
+        for w in row:
             yield m, w
 
 

@@ -5,7 +5,7 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from interviewplan.blockers import analyze_blockers, is_resolved
+from interviewplan.blockers import BlockerReport, PotentialBlocker, analyze_blockers, is_resolved
 from interviewplan.generators import _random_mutual, _random_partition
 from interviewplan.interviews import apply_interviews, interview_cost
 from interviewplan.model import (
@@ -191,6 +191,57 @@ def spec_blocking_pairs(instance, matching, level):
                 or keen_count == 2):
             out.append(BlockingPair(m, w, level, man_att, woman_att))
     return tuple(out)
+
+
+def reference_classify(instance, truth, matching):
+    """Reference for ``analyze_blockers``, from the definitions: each very
+    weak blocker of :func:`spec_blocking_pairs`, in its order, reads both
+    members' true ranks.  A member is keen when it is unmatched or truly
+    prefers the other to its partner.  A blocker with one keen member has
+    degree 1 and that member as its keen side, one with none has degree 2.
+    ``admirers`` maps the reluctant member of each degree-1 blocker to its
+    keen members, a man is mandated when he or his partner has admirers,
+    and ``open_mutual`` keeps the degree-2 blockers whose man is not
+    mandated and whose woman's partner is not either."""
+    partner = matching.partner
+
+    def keen(a, c):
+        p = partner(a)
+        return p is None or truth.rank(a, c) < truth.rank(a, p)
+
+    blockers, admirers = [], {}
+    for b in spec_blocking_pairs(instance, matching, Blocking.VERY_WEAK):
+        m, w = b.man, b.woman
+        man_keen, woman_keen = keen(m, w), keen(w, m)
+        assert not (man_keen and woman_keen), (m, w)
+        if man_keen:
+            blockers.append(PotentialBlocker(m, w, 1, MAN))
+            admirers.setdefault(w, set()).add(m)
+        elif woman_keen:
+            blockers.append(PotentialBlocker(m, w, 1, WOMAN))
+            admirers.setdefault(m, set()).add(w)
+        else:
+            blockers.append(PotentialBlocker(m, w, 2))
+    mandated = frozenset(m for m, w in matching.pairs if m in admirers or w in admirers)
+    open_mutual = tuple(b for b in blockers if b.degree == 2 and b.man not in mandated
+                        and partner(b.woman) not in mandated)
+    return BlockerReport(tuple(blockers), {a: frozenset(cs) for a, cs in admirers.items()},
+                         mandated, open_mutual)
+
+
+def assert_classified_as_reference(instance, truth, matching):
+    """``analyze_blockers`` equals :func:`reference_classify` field by
+    field, blockers in the same order, each a ``PotentialBlocker``."""
+    ours = analyze_blockers(instance, truth, matching)
+    theirs = reference_classify(instance, truth, matching)
+    assert ours.blockers == theirs.blockers
+    assert all(type(b) is PotentialBlocker for b in ours.blockers)
+    assert [b.keen_side for b in ours.blockers] == [b.keen_side for b in theirs.blockers]
+    assert ours.pairs == tuple((b.man, b.woman) for b in theirs.blockers)
+    assert ours.admirers == theirs.admirers
+    assert ours.mandated_men == theirs.mandated_men
+    assert ours.open_mutual == theirs.open_mutual
+    return ours
 
 
 def prefers_scan(instance, matching, pairs):

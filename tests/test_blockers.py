@@ -1,10 +1,17 @@
 import itertools
 
 import pytest
+from helpers import assert_classified_as_reference, class_markets
+from hypothesis import assume, given, settings
 
 from interviewplan.blockers import analyze_blockers, cover_graph, is_resolved
 from interviewplan.errors import MatchingNotWeaklyStable, TruthInconsistent
-from interviewplan.generators import generate
+from interviewplan.generators import (
+    cover_market_smt,
+    cover_market_smti,
+    generate,
+    random_bounded_graph,
+)
 from interviewplan.interviews import apply_interviews
 from interviewplan.model import (
     MAN,
@@ -180,3 +187,37 @@ class TestExhaustiveEquivalences:
                                    tie_cap=3, density=0.85)
             mu = gale_shapley(truth)
             check_resolution_equivalence(inst, truth, mu)
+
+
+class TestReferenceClassifier:
+    """The row-by-row classification equals the pair-by-pair reference."""
+
+    def test_generated_families(self):
+        unmatched = 0
+        for family in ("random_smti", "master_ties", "tiered", "one_side_strict"):
+            for n in range(2, 13):
+                for seed in range(5):
+                    inst, truth = generate(family, n=n, seed=seed, density=0.5)
+                    for side in (MAN, WOMAN):
+                        mu = gale_shapley(truth, side)
+                        unmatched += 2 * n - 2 * len(mu)
+                        assert_classified_as_reference(inst, truth, mu)
+        assert unmatched  # some targets leave agents unmatched
+
+    def test_cover_markets(self, small_graphs):
+        graphs = list(small_graphs) + [random_bounded_graph(30, 3, seed) for seed in range(3)]
+        for g in graphs:
+            for build in (cover_market_smti, cover_market_smt):
+                inst, truth, mu, _ = build(g)
+                assert_classified_as_reference(inst, truth, mu)
+
+    @settings(max_examples=300)
+    @given(class_markets())
+    def test_class_markets(self, market):
+        inst, truth, interviews, _ = market
+        assume(truth.refines(inst))
+        learned = apply_interviews(inst, truth, interviews)
+        for side in (MAN, WOMAN):
+            mu = gale_shapley(truth, side)
+            for state in (inst, learned):
+                assert_classified_as_reference(state, truth, mu)

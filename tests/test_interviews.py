@@ -1,3 +1,5 @@
+import itertools
+import pickle
 import random
 
 import pytest
@@ -118,6 +120,42 @@ class TestApply:
         assert twice.edges == {(W[2], W[1]), (W[3], W[2])}
         assert not twice.prefers(W[3], W[1])
 
+    def test_full_list_learners_share_the_truths_rank_map(self):
+        # every agent of a one-tier market meets its whole list; its learned
+        # rank map is the profile's own, and the state still reads, compares,
+        # costs and pickles as the reference's freshly built maps do
+        inst, truth = generate("tiered", n=8, seed=2)
+        plan = plan_for_matching(inst, truth, gale_shapley(truth, MAN))
+        refined = plan.refined
+        theirs = reference_apply(inst, truth, plan.interviews)
+        for a in inst.agents():
+            rel, ref = refined.relations[a], theirs.relations[a]
+            assert rel.met is truth.ranking[a] and rel.rank is truth._rank[a]
+            assert rel.rank == truth.ranks(a) == ref.rank
+            assert (rel.classes, rel.level, rel.extra, rel.met) == \
+                (ref.classes, ref.level, ref.extra, ref.met)
+            assert rel.gains_over(inst.relations[a]) == ref.gains_over(inst.relations[a])
+        assert refined == theirs
+        assert truth.refines(refined) and truth.refines(theirs)
+        assert interview_cost(inst, refined) == interview_cost(inst, theirs) == \
+            (plan.cost, plan.interviews)
+        copy = pickle.loads(pickle.dumps(refined))
+        assert copy == refined
+        assert all(copy.relations[a].rank == truth.ranks(a) for a in inst.agents())
+
+    def test_second_learn_on_a_shared_rank_map_leaves_the_truth(self):
+        inst, truth = generate("tiered", n=5, seed=4)
+        refined = apply_interviews(inst, truth, frozenset(inst.acceptable_pairs()))
+        a = man(1)
+        before = dict(truth.ranks(a))
+        rel = refined.relations[a]
+        again = rel.learn(tuple(reversed(truth.ranking[a][:2])))
+        assert again.met == () and again.rank == {}
+        assert again.extra == frozenset(itertools.combinations(truth.ranking[a], 2)) | \
+            {tuple(reversed(truth.ranking[a][:2]))}
+        assert dict(truth.ranks(a)) == before and rel.rank is truth._rank[a]
+        assert again.gains_over(rel) == {tuple(reversed(truth.ranking[a][:2]))}
+
     def test_result_not_flagged_base(self, fig1):
         T = interview_set([(man(2), woman(1)), (man(2), woman(2))])
         assert apply_interviews(fig1.instance, fig1.truth, T).base is False
@@ -148,6 +186,17 @@ class TestApply:
             with pytest.raises(ValueError, match="is not a man-woman pair"):
                 apply_interviews(fig1.instance, fig1.truth,
                                  frozenset({(man(1), woman(1)), pair}))
+
+    def test_same_side_pair_rejected_even_where_accepted(self):
+        # an invalid market in which two men accept each other: the pair is
+        # still rejected as one-sided, before any acceptability test
+        inst = Instance(2, 1, {man(1): relation(man(1), [W[1], M[2]]),
+                               man(2): relation(man(2), [M[1]]),
+                               W[1]: relation(W[1], [M[1]])})
+        truth = StrictProfile({M[1]: (W[1], M[2]), M[2]: (M[1],), W[1]: (M[1],)})
+        assert truth.refines(inst)
+        with pytest.raises(ValueError, match="^pair m1, m2 is not a man-woman pair$"):
+            apply_interviews(inst, truth, frozenset({(M[1], M[2])}))
 
     @settings(max_examples=300)
     @given(class_markets())

@@ -1,8 +1,15 @@
+import pickle
 import warnings
 from importlib.resources import files
 
 import pytest
-from helpers import bb_cover_size, edge_twin, reference_min_vertex_cover, search_cover_size
+from helpers import (
+    bb_cover_size,
+    edge_twin,
+    reference_apply,
+    reference_min_vertex_cover,
+    search_cover_size,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -581,6 +588,50 @@ class TestDenseMarkets:
         assert plan.cost == 40000
         assert plan.interviews == frozenset(inst.acceptable_pairs())
         assert all(plan.refined.relations[a].met == truth.ranking[a] for a in inst.agents())
+
+    def test_tiered_three_hundred_a_side(self):
+        # 90,000 pairs: every pair interviews, 89,700 as blockers and 300 as
+        # mandated matched pairs, and the refined state stores what the
+        # keyed-sort reference does (compared part by part: the derived
+        # edge sets would hold 27 million pairs)
+        inst, truth = generate("tiered", n=300, seed=0)
+        plan = plan_for_matching(inst, truth, gale_shapley(truth, MAN))
+        assert plan.cost == naive_cost(inst) == 90000
+        assert plan.breakdown == (89700, 300, 0)
+        theirs = reference_apply(inst, truth, plan.interviews)
+        for a in inst.agents():
+            x, y = plan.refined.relations[a], theirs.relations[a]
+            assert (x.classes, x.level, x.extra, x.met, x.rank) == \
+                (y.classes, y.level, y.extra, y.met, y.rank), a
+
+
+class TestPickle:
+    """Solved and kind-checked instances carry cached views that do not
+    pickle; an instance pickles as its parts and rebuilds its caches."""
+
+    def test_solved_instance_round_trips(self):
+        inst, truth = generate("master_ties", n=4, seed=0)
+        mu = gale_shapley(truth, MAN)
+        plan = plan_for_matching(inst, truth, mu)
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy == inst and copy.kind == inst.kind
+        again = plan_for_matching(copy, StrictProfile(truth.ranking), mu)
+        assert again == plan
+
+    def test_refined_state_round_trips_after_its_kind_was_read(self):
+        for family in FAMILIES:
+            inst, truth = generate(family, n=6, seed=1)
+            plan = plan_for_matching(inst, truth, gale_shapley(truth, WOMAN))
+            assert plan.refined.kind
+            copy = pickle.loads(pickle.dumps(plan.refined))
+            assert copy == plan.refined and copy.kind == plan.refined.kind, family
+
+    def test_edge_built_instance_round_trips(self, tri):
+        inst = Instance(2, 2, {man(1): Relation(man(1), frozenset({woman(1), woman(2)}),
+                                                frozenset({(woman(1), woman(2))}))})
+        for state in (inst, tri.instance):
+            assert state.kind
+            assert pickle.loads(pickle.dumps(state)) == state
 
 
 class TestNaiveCost:

@@ -34,6 +34,7 @@ from interviewplan.stability import (
     Blocking,
     Stability,
     _very_weak_blockers,
+    _very_weak_rows,
     blocking_pairs,
     extension_agreement,
     gale_shapley,
@@ -234,6 +235,39 @@ class TestOpenCandidateScan:
         inst, _ = generate("random_smti", n=6, seed=2, density=0.5)
         empty = Matching([])
         assert tuple(_very_weak_blockers(inst, empty)) == inst.acceptable_pairs()
+
+
+def assert_rows_equal_pair_list(instance, mu):
+    """The scan's rows flatten to the pair-list reference's pairs, in its
+    order; every row is non-empty and sorted, and the men ascend."""
+    rows = list(_very_weak_rows(instance, mu))
+    assert [(m, w) for m, row in rows for w in row] == pair_list_scan(instance, mu)
+    assert all(row and row == sorted(row) for _, row in rows)
+    men = [m for m, _ in rows]
+    assert all(a < b for a, b in zip(men, men[1:]))
+
+
+class TestRowScan:
+    def test_rows_on_generated_markets(self):
+        from interviewplan.solvers import plan_for_matching
+
+        for family in ("random_smti", "master_ties", "tiered", "one_side_strict"):
+            for n in (3, 12, 20):
+                inst, truth = generate(family, n=n, seed=n, density=0.5)
+                for side in ("m", "w"):
+                    mu = gale_shapley(truth, side)
+                    assert_rows_equal_pair_list(inst, mu)
+                    assert_rows_equal_pair_list(plan_for_matching(inst, truth, mu).refined, mu)
+                assert_rows_equal_pair_list(inst, Matching([]))
+
+    @settings(max_examples=400)
+    @given(class_states())
+    def test_rows_on_base_learned_and_relearned_states(self, market):
+        inst, truth, interviews, again, mu = market
+        learned = _apply_unchecked(inst, truth, interviews)
+        relearned = _apply_unchecked(learned, truth, again)
+        for state in (inst, learned, relearned):
+            assert_rows_equal_pair_list(state, mu)
 
 
 class TestIsStable:
