@@ -62,7 +62,6 @@ from .model import (
     Pair,
     Relation,
     StrictProfile,
-    TieStructure,
     ValidationReport,
     compare,
     couple,

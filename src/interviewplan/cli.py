@@ -91,7 +91,11 @@ def _generated(args, seeds):
     ``gen``/``bench`` options; checks them even for no seeds."""
     if args.n is None:
         raise BadParams("--n is required for random families")
-    tiers = [int(t) for t in args.tiers.split(",")] if args.tiers else None
+    tiers = args.tiers.split(",") if args.tiers else None
+    if tiers is not None:
+        if not all(t.isdecimal() for t in tiers):
+            raise BadParams(f"--tiers takes comma-separated sizes, not {args.tiers!r}")
+        tiers = list(map(int, tiers))
     for seed in seeds:
         yield generate(args.family.replace("-", "_"), n=args.n, seed=seed,
                        tiers=tiers, tie_cap=args.tie_cap, density=args.density)
@@ -154,11 +158,11 @@ def cmd_check(args) -> int:
         return 1
     print(f"instance: ok (kind: {instance.kind}, "
           f"{instance.n_men} men, {instance.n_women} women)")
-    for a, ties in detect_tie_structure(instance).items():
-        if ties is None:
+    for a, classes in detect_tie_structure(instance).items():
+        if classes is None:
             print(f"  {a}: general partial order")
         else:
-            groups = format_classes(ties)
+            groups = format_classes(classes)
             print(f"  {a}: {groups}" if groups else f"  {a}: (empty list)")
 
     truth = parse_truth(_read(args.truth)) if args.truth else None

@@ -20,7 +20,6 @@ from .model import (
     Pair,
     Relation,
     StrictProfile,
-    TieStructure,
     couple,
     detect_tie_structure,
     man,
@@ -36,7 +35,7 @@ def _strip(line: str) -> str:
 
 def parse_agent(token: str, line: int | None = None) -> Agent:
     side = token[:1]
-    if side not in (MAN, WOMAN) or not token[1:].isdigit():
+    if side not in (MAN, WOMAN) or not token[1:].isdecimal():
         raise ParseError(f"bad agent token {token!r}", line)
     return Agent(side, int(token[1:]))
 
@@ -120,7 +119,7 @@ def parse_instance(text: str, base: bool = True,
 
 def _parse_count(line: str, line_no: int) -> int:
     value = line.split(":", 1)[1].strip()
-    if not value.isdigit():
+    if not value.isdecimal():
         raise ParseError(f"bad count {value!r}", line_no)
     return int(value)
 
@@ -213,10 +212,10 @@ def _normalize_mutual(instance: Instance, warnings: list[str] | None) -> Instanc
     return Instance(instance.n_men, instance.n_women, rels, base=instance.base)
 
 
-def format_classes(ties: TieStructure) -> str:
+def format_classes(classes: tuple[frozenset[Agent], ...]) -> str:
     """Classes best first, each tie of two or more in parentheses."""
-    members = [" ".join(str(c) for c in sorted(cls)) for cls in ties.classes]
-    return " ".join(m if len(cls) == 1 else f"({m})" for m, cls in zip(members, ties.classes))
+    members = [" ".join(str(c) for c in sorted(cls)) for cls in classes]
+    return " ".join(m if len(cls) == 1 else f"({m})" for m, cls in zip(members, classes))
 
 
 def format_instance(instance: Instance, style: str | None = None) -> str:
@@ -335,12 +334,13 @@ def parse_graph(text: str):
             continue
         if n is None:
             tokens = line.split()
-            if len(tokens) != 3 or tokens[0] != "graph":
+            if (len(tokens) != 3 or tokens[0] != "graph"
+                    or not (tokens[1].isdecimal() and tokens[2].isdecimal())):
                 raise ParseError("expected header 'graph <n> <m>'", line_no)
             n, declared = int(tokens[1]), int(tokens[2])
             continue
         tokens = line.split()
-        if len(tokens) != 2:
+        if len(tokens) != 2 or not (tokens[0].isdecimal() and tokens[1].isdecimal()):
             raise ParseError("expected 'u v' per line", line_no)
         u, v = int(tokens[0]), int(tokens[1])
         if not (1 <= u <= n and 1 <= v <= n) or u == v:
@@ -402,7 +402,7 @@ def parse_certificate(text: str) -> tuple[dict[str, int | str], frozenset[Pair],
         if section == "meta":
             key, _, value = line.partition(":")
             value = value.strip()
-            meta[key.strip()] = int(value) if value.isdigit() else value
+            meta[key.strip()] = int(value) if value.isdecimal() else value
         else:
             interviews.add(_parse_pair(line, line_no))
     if section != "refined":

@@ -134,7 +134,7 @@ def _identity_top_truth(instance: Instance) -> StrictProfile:
     for a in instance.agents():
         partner = woman(a.index) if a.side == MAN else man(a.index)
         order: list[Agent] = []
-        for cls in ties[a].classes:
+        for cls in ties[a]:
             members = sorted(cls)
             if partner in cls:
                 members = [partner] + [c for c in members if c != partner]

@@ -15,9 +15,9 @@ to be genuine partial orders.
 
 Ordered indifference classes (ties) have one home here: :func:`tie_relation`
 builds a relation from classes without building edges,
-:func:`agent_tie_structure` returns the stored classes or recovers them from
-the edges in O(edges) by grouping candidates by in-degree, and
-:func:`detect_tie_structure` decomposes an instance once, cached on it.
+:func:`agent_tie_structure` returns the stored classes tuple or recovers one
+from the edges in O(edges) by grouping candidates by in-degree, and
+:func:`detect_tie_structure` maps every agent of an instance to its classes.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ class Relation:
         of the met order, built on each read."""
         edges = self.extra
         if self.classes:
-            edges = TieStructure(self.classes).as_edges() | edges
+            edges = _class_edges(self.classes) | edges
         if self.met:
             edges = edges.union(itertools.combinations(self.met, 2))
         return edges
@@ -235,7 +235,7 @@ class Instance:
     """
 
     __slots__ = ("n_men", "n_women", "relations", "base", "_men", "_women",
-                 "_pairs", "_count", "_kind", "_ties")
+                 "_pairs", "_count")
 
     def __init__(self, n_men: int, n_women: int,
                  relations: Mapping[Agent, Relation], base: bool = True):
@@ -252,15 +252,6 @@ class Instance:
         self.base = base
         self._pairs = None
         self._count = None
-        self._kind = None
-        self._ties = None
-
-    def __reduce__(self):
-        # rebuilt from its parts, so every cache starts empty: the tie
-        # structure's read-only map among them does not pickle.  The
-        # relation map is then put back as it was, of its own type.
-        return (Instance, (self.n_men, self.n_women, self.relations, self.base),
-                (None, {"relations": self.relations}))
 
     def men(self) -> list[Agent]:
         return list(self._men)
@@ -302,10 +293,18 @@ class Instance:
 
     @property
     def kind(self) -> str:
-        """Detected instance kind: one of smi, smt, smti, smpi."""
-        if self._kind is None:
-            self._kind = _detect_kind(self)
-        return self._kind
+        """Detected instance kind: one of smi, smt, smti, smpi; computed on
+        each read."""
+        ties = detect_tie_structure(self).values()
+        if None in ties:
+            return "smpi"
+        if all(max(map(len, classes), default=0) <= 1 for classes in ties):
+            return "smi"
+        complete = all(
+            len(self.relations[a].acceptable) ==
+            (self.n_women if a.side == MAN else self.n_men)
+            for a in self.agents())
+        return "smt" if complete else "smti"
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -321,23 +320,15 @@ class Instance:
         return f"Instance({self.n_men}x{self.n_women}, kind={self.kind})"
 
 
-@dataclass(frozen=True)
-class TieStructure:
-    """Ordered indifference classes of one agent, best class first."""
-
-    classes: tuple[frozenset[Agent], ...]
-
-    def max_size(self) -> int:
-        return max(map(len, self.classes), default=0)
-
-    def as_edges(self) -> frozenset[Pair]:
-        """Every (better, worse) pair across classes; none within a class."""
-        edges: list[Pair] = []
-        below: list[Agent] = []
-        for cls in reversed(self.classes):
-            edges.extend(itertools.product(cls, below))
-            below.extend(cls)
-        return frozenset(edges)
+def _class_edges(classes: tuple[frozenset[Agent], ...]) -> frozenset[Pair]:
+    """Every (better, worse) pair across ordered classes, best class first;
+    none within a class."""
+    edges: list[Pair] = []
+    below: list[Agent] = []
+    for cls in reversed(classes):
+        edges.extend(itertools.product(cls, below))
+        below.extend(cls)
+    return frozenset(edges)
 
 
 def tie_relation(owner: Agent, classes: Iterable[Iterable[Agent]]) -> Relation:
@@ -393,9 +384,8 @@ class StrictProfile:
         The last instance accepted is remembered by identity (the
         ``_refined`` slot) and accepted again in O(1), so a solve that checks
         one instance at several entry points pays once.  This relies on
-        profiles and instances being immutable values, as the tie structure
-        cached in ``Instance._ties`` does.  A rejection is not remembered,
-        and an unpickled profile remembers nothing."""
+        profiles and instances being immutable values.  A rejection is not
+        remembered, and an unpickled profile remembers nothing."""
         if instance is self._refined:
             return True
         for a, rel in instance.relations.items():
@@ -404,7 +394,7 @@ class StrictProfile:
             # a ranking as long as the acceptable set that ranks all of it
             # ranks nothing else and nothing twice; a class may still hold
             # a candidate outside the acceptable set
-            if not (len(seq) == len(rel.acceptable) and ranks.keys() >= rel.acceptable):
+            if not (len(seq) == len(rel.acceptable) and rel.acceptable.issubset(ranks)):
                 return False
             level = rel.level
             if level:
@@ -651,18 +641,18 @@ def is_refinement(base: Instance, candidate: Instance) -> bool:
 # tie structure detection
 
 
-def agent_tie_structure(rel: Relation) -> Optional[TieStructure]:
+def agent_tie_structure(rel: Relation) -> Optional[tuple[frozenset[Agent], ...]]:
     """The relation's indifference classes, best first, or None if it is not
     shaped as ordered ties.
 
     A class-built relation without extra comparisons or a met order returns
-    its stored classes.  Otherwise only edges between acceptable candidates
-    count: a candidate's in-degree is the size of the better classes, so
-    grouping by it gives the only possible classes; they stand when their
-    ``as_edges()`` equals those edges.
+    its stored ``classes`` tuple itself.  Otherwise only edges between
+    acceptable candidates count: a candidate's in-degree is the size of the
+    better classes, so grouping by it gives the only possible classes; they
+    stand when their cross-class pairs are exactly those edges.
     """
     if not rel.extra and not rel.met and len(rel.level) == len(rel.acceptable):
-        return TieStructure(rel.classes)
+        return rel.classes
     indegree = dict.fromkeys(rel.acceptable, 0)
     inside = frozenset((hi, lo) for hi, lo in rel.edges
                        if hi in indegree and lo in indegree)
@@ -671,30 +661,16 @@ def agent_tie_structure(rel: Relation) -> Optional[TieStructure]:
     groups: dict[int, list[Agent]] = {}
     for c, d in indegree.items():
         groups.setdefault(d, []).append(c)
-    ties = TieStructure(tuple(frozenset(groups[d]) for d in sorted(groups)))
-    return ties if ties.as_edges() == inside else None
+    classes = tuple(frozenset(groups[d]) for d in sorted(groups))
+    return classes if _class_edges(classes) == inside else None
 
 
-def detect_tie_structure(instance: Instance) -> Mapping[Agent, Optional[TieStructure]]:
-    """Per-agent tie decomposition, None marking a general partial order;
-    computed on first use and cached on the instance as a read-only map."""
-    if instance._ties is None:
-        instance._ties = MappingProxyType(
-            {a: agent_tie_structure(instance.relations[a]) for a in instance.agents()})
-    return instance._ties
-
-
-def _detect_kind(instance: Instance) -> str:
-    ties = detect_tie_structure(instance)
-    if any(t is None for t in ties.values()):
-        return "smpi"
-    if all(t.max_size() <= 1 for t in ties.values()):
-        return "smi"
-    complete = all(
-        len(instance.relations[a].acceptable) ==
-        (instance.n_women if a.side == MAN else instance.n_men)
-        for a in instance.agents())
-    return "smt" if complete else "smti"
+def detect_tie_structure(
+        instance: Instance) -> dict[Agent, Optional[tuple[frozenset[Agent], ...]]]:
+    """Each agent's indifference classes, None marking a general partial
+    order; a new dict on each call."""
+    relations = instance.relations
+    return {a: agent_tie_structure(relations[a]) for a in instance.agents()}
 
 
 # ---------------------------------------------------------------------------

@@ -291,13 +291,14 @@ def detect_structure(instance: Instance) -> PlanStructure:
     """
     ties = detect_tie_structure(instance)
     for side in (instance.men(), instance.women()):
-        if all(ties[a] is not None and ties[a].max_size() <= 1 for a in side):
+        if all(ties[a] is not None and max(map(len, ties[a]), default=0) <= 1
+               for a in side):
             return PlanStructure.ONE_SIDE_STRICT
-    if all(t is not None for t in ties.values()):
-        if max(t.max_size() for t in ties.values()) <= 2:
+    if None not in ties.values():
+        if all(max(map(len, classes), default=0) <= 2 for classes in ties.values()):
             return PlanStructure.TIES_AT_MOST_2
-        men_classes = {ties[m].classes for m in instance.men()}
-        women_classes = {ties[w].classes for w in instance.women()}
+        men_classes = {ties[m] for m in instance.men()}
+        women_classes = {ties[w] for w in instance.women()}
         if len(men_classes) <= 1 and len(women_classes) <= 1:
             return PlanStructure.MASTER_TIES
     return PlanStructure.GENERAL

@@ -343,7 +343,7 @@ def extension_agreement(instance: Instance, matching: Matching,
             # ordered classes have exactly prod |C|! extensions, so both caps
             # are decided before any enumeration
             exts = None
-            count = math.prod(math.factorial(len(c)) for c in ties[a].classes)
+            count = math.prod(math.factorial(len(c)) for c in ties[a])
         if count > product_cap + 1:
             raise SizeLimitExceeded(
                 f"{a} has more than {product_cap} linear extensions")

@@ -21,7 +21,7 @@ from interviewplan.model import (
     tie_relation,
     woman,
 )
-from interviewplan.solvers import _CoverSearch
+from interviewplan.solvers import PlanStructure, _CoverSearch
 from interviewplan.stability import Attitude, Blocking, BlockingPair, Stability, is_stable
 
 
@@ -118,6 +118,43 @@ def edge_twin(instance):
                     {a: Relation(a, r.acceptable, r.edges)
                      for a, r in instance.relations.items()},
                     base=instance.base)
+
+
+def reference_classes(rel):
+    """The ordered classes whose cross-class pairs are exactly the literal
+    edges between acceptable candidates, or None.  Candidates are grouped
+    by the set of candidates above them, which in ordered classes is the
+    union of the better classes, so it is a strictly growing set."""
+    above = {c: set() for c in rel.acceptable}
+    for hi, lo in rel.edges:
+        if hi in above and lo in above:
+            above[lo].add(hi)
+    groups = {}
+    for c, over in above.items():
+        groups.setdefault(frozenset(over), set()).add(c)
+    classes = tuple(frozenset(groups[over]) for over in sorted(groups, key=len))
+    crossing = {(hi, lo) for t, cls in enumerate(classes) for later in classes[t + 1:]
+                for hi in cls for lo in later}
+    inside = {(hi, lo) for lo, over in above.items() for hi in over}
+    return classes if crossing == inside else None
+
+
+def reference_structure(instance):
+    """``detect_structure`` read off each relation's literal edge set with
+    ``reference_classes``, checked in the same order: one side strict, ties
+    of size at most 2, one class list per side."""
+    classes = {a: reference_classes(instance.relations[a]) for a in instance.agents()}
+    for side in (instance.men(), instance.women()):
+        if all(classes[a] is not None and all(len(c) == 1 for c in classes[a])
+               for a in side):
+            return PlanStructure.ONE_SIDE_STRICT
+    if all(cls is not None for cls in classes.values()):
+        if all(len(c) <= 2 for cls in classes.values() for c in cls):
+            return PlanStructure.TIES_AT_MOST_2
+        if (len({classes[m] for m in instance.men()}) <= 1
+                and len({classes[w] for w in instance.women()}) <= 1):
+            return PlanStructure.MASTER_TIES
+    return PlanStructure.GENERAL
 
 
 def reference_apply(instance, truth, interviews):

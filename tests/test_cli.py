@@ -73,6 +73,27 @@ class TestGen:
                            "--out", str(tmp_path / "x"))
         assert code == 2
 
+    def test_non_integer_tier_size_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "gen", "--family", "tiered", "--n", "4",
+                           "--tiers", "2,x", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err == "error: --tiers takes comma-separated sizes, not '2,x'\n"
+
+    @pytest.mark.parametrize("text, line", [
+        ("graph 3 x\n", 1), ("graph x 0\n", 1), ("graph 3 1\n1 x\n", 2),
+        ("graph 3 1\n# comment\n1 \u00b2\n", 3), ("graph -1 0\n", 1),
+    ])
+    def test_non_integer_graph_token_is_parse_error(self, capsys, tmp_path, text, line):
+        # through gen --graph and bench --graph-dir alike
+        (tmp_path / "bad.graph").write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "gen", "--family", "vc3-smti",
+                           "--graph", str(tmp_path / "bad.graph"), "--out", str(tmp_path / "g"))
+        assert code == 2 and err.startswith(f"error: line {line}: "), err
+        code, _, bench_err = run(capsys, "bench", "--family", "vc3-smti",
+                                 "--graph-dir", str(tmp_path), "--omit-runtime",
+                                 "--out", str(tmp_path / "rows.csv"))
+        assert (code, bench_err) == (2, err)
+
 
 class TestCheck:
     def test_instance_only(self, capsys, fig1_files):
@@ -230,6 +251,18 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(p))
         assert code == 2
         assert "line 4" in err
+
+    @pytest.mark.parametrize("body, message", [
+        # "\u00b2" is a digit to str.isdigit that int() rejects
+        ("men: 1\nwomen: 1\nm1: w\u00b2\n", "line 4: bad agent token 'w\u00b2'"),
+        ("men: \u00b2\nwomen: 1\n", "line 2: bad count '\u00b2'"),
+        ("men: 1\nwomen: 1\u00b9\n", "line 3: bad count '1\u00b9'"),
+    ])
+    def test_non_integer_token_is_parse_error(self, capsys, tmp_path, body, message):
+        p = tmp_path / "sup.instance"
+        p.write_text("kind: smti\n" + body, encoding="utf-8")
+        code, _, err = run(capsys, "check", str(p))
+        assert (code, err) == (2, f"error: {message}\n")
 
 
 class TestSolve:

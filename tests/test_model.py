@@ -27,7 +27,6 @@ from interviewplan.model import (
     Instance,
     Relation,
     StrictProfile,
-    TieStructure,
     agent_tie_structure,
     compare,
     detect_tie_structure,
@@ -471,27 +470,26 @@ def tie_spec(rel):
              if {(hi, lo) for t, cls in enumerate(parts) for later in parts[t + 1:]
                  for hi in cls for lo in later} == inside]
     assert len(found) <= 1
-    return TieStructure(found[0]) if found else None
+    return found[0] if found else None
 
 
 class TestTieStructure:
     def test_master_tie_single_class(self, mt3):
         ties = detect_tie_structure(mt3.instance)
         for m in (man(1), man(2), man(3)):
-            assert len(ties[m].classes) == 1
-            assert len(ties[m].classes[0]) == 3
+            assert len(ties[m]) == 1
+            assert len(ties[m][0]) == 3
 
     def test_strict_instance_all_singletons(self, fig1):
         strict = fig1.truth.as_instance()
         ties = detect_tie_structure(strict)
-        assert all(t is not None and t.max_size() == 1 for t in ties.values())
+        assert all(t is not None and all(len(c) == 1 for c in t) for t in ties.values())
         assert strict.kind == "smi"
 
     def test_top_candidate_then_tie(self):
         inst = one_man_three_women([(woman(1), woman(2)), (woman(1), woman(3))])
         ties = agent_tie_structure(inst.relations[man(1)])
-        assert ties.classes == (frozenset({woman(1)}),
-                                frozenset({woman(2), woman(3)}))
+        assert ties == (frozenset({woman(1)}), frozenset({woman(2), woman(3)}))
 
     def test_partial_order_not_tie_shaped(self):
         inst = one_man_three_women([(woman(1), woman(2))])
@@ -500,13 +498,13 @@ class TestTieStructure:
 
     def test_reconstruction_roundtrip(self):
         # rebuilding each tie-shaped agent's edges from its classes gives the
-        # original edge set
+        # original edge set, also when the classes are recovered from edges
         for seed in range(30):
             inst, _ = generate("random_smti", n=4, seed=seed, tie_cap=3, density=0.8)
-            ties = detect_tie_structure(inst)
-            for a, t in ties.items():
-                assert t is not None
-                assert t.as_edges() == inst.relations[a].edges
+            for state in (inst, edge_twin(inst)):
+                for a, t in detect_tie_structure(state).items():
+                    assert t is not None
+                    assert tie_relation(a, t).edges == state.relations[a].edges
 
     @settings(max_examples=500)
     @given(st.data())
@@ -532,16 +530,30 @@ class TestTieStructure:
     def test_tie_relation_roundtrip(self, classes):
         rel = tie_relation(man(1), classes)
         assert rel.acceptable == frozenset(c for g in classes for c in g)
-        assert agent_tie_structure(rel) == TieStructure(
-            tuple(frozenset(g) for g in classes if g))
+        assert agent_tie_structure(rel) == tuple(frozenset(g) for g in classes if g)
 
-    def test_detection_cached_read_only(self, mt3):
-        ties = detect_tie_structure(mt3.instance)
-        assert detect_tie_structure(mt3.instance) is ties
-        assert mt3.instance.kind == "smt"
-        assert detect_tie_structure(mt3.instance) is ties
-        with pytest.raises(TypeError):
-            ties[man(1)] = None
+    def test_class_built_agents_hand_out_their_stored_classes(self):
+        # every fixture and generated market is built from classes, so each
+        # agent's entry is its relation's own tuple, not a copy
+        markets = [fixtures.load(name).instance for name in fixtures.FIXTURE_NAMES]
+        markets += [generate(family, n=5, seed=seed)[0] for family in FAMILIES
+                    for seed in range(3)]
+        for inst in markets:
+            for a, classes in detect_tie_structure(inst).items():
+                rel = inst.relations[a]
+                assert classes is rel.classes, a
+                assert agent_tie_structure(rel) is rel.classes, a
+
+    def test_each_call_builds_a_fresh_dict(self, mt3):
+        # a caller's write to the returned dict is not seen by the next call
+        # nor by the kind, which reads the classes again
+        inst = mt3.instance
+        ties = detect_tie_structure(inst)
+        assert type(ties) is dict
+        ties[man(1)] = None
+        again = detect_tie_structure(inst)
+        assert again is not ties and again[man(1)] is inst.relations[man(1)].classes
+        assert inst.kind == "smt"
 
     def test_kind_detection(self, fig1, tri, mt3):
         assert fig1.instance.kind == "smt"

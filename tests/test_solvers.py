@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     bb_cover_size,
     edge_twin,
+    reference_structure,
     reference_apply,
     reference_min_vertex_cover,
     search_cover_size,
@@ -13,7 +14,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interviewplan import solvers
+from interviewplan import fixtures, solvers
 from interviewplan.blockers import analyze_blockers, cover_graph
 from interviewplan.cli import main
 from interviewplan.errors import InternalAssumptionViolated, SizeLimitExceeded
@@ -32,6 +33,7 @@ from interviewplan.model import (
     StrictProfile,
     linear_extensions,
     man,
+    tie_relation,
     validate_instance,
     woman,
 )
@@ -433,6 +435,34 @@ class TestStructureDetection:
         inst = Instance(2, 3, rels, base=False)
         assert detect_structure(inst) == PlanStructure.GENERAL
 
+    def test_labels_equal_the_edge_set_reference(self):
+        # each market, its edge twin and the refined state of a plan on it,
+        # whose met orders are read through the in-degree recovery
+        markets = [fixtures.load(name).instance for name in fixtures.FIXTURE_NAMES]
+        for seed in range(3):
+            for tiers in ([6], [3, 3], [2, 2, 1, 1], [1] * 6):
+                inst, truth = generate("tiered", n=6, seed=seed, tiers=tiers)
+                markets += [inst, plan_for_matching(inst, truth, gale_shapley(truth)).refined]
+            for family in FAMILIES[1:]:
+                for tie_cap in (1, 2, 3, 6):
+                    inst, truth = generate(family, n=6, seed=seed, tie_cap=tie_cap,
+                                           density=0.7)
+                    plan = plan_for_matching(inst, truth, gale_shapley(truth, WOMAN))
+                    markets += [inst, plan.refined]
+        # the men tie, the women are strict: only the second side is
+        ws = [woman(1), woman(2)]
+        markets.append(Instance(2, 2, {
+            man(1): tie_relation(man(1), [ws]), man(2): tie_relation(man(2), [ws]),
+            ws[0]: tie_relation(ws[0], [[man(1)], [man(2)]]),
+            ws[1]: tie_relation(ws[1], [[man(2)], [man(1)]])}))
+        labels = set()
+        for inst in markets:
+            for state in (inst, edge_twin(inst)):
+                label = detect_structure(state)
+                assert label == reference_structure(state), (inst, label)
+                labels.add(label)
+        assert labels == set(PlanStructure)
+
 
 class TestBestPlan:
     def test_fig1_minimum(self, fig1):
@@ -605,33 +635,54 @@ class TestDenseMarkets:
                 (y.classes, y.level, y.extra, y.met, y.rank), a
 
 
+PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
+
+
 class TestPickle:
-    """Solved and kind-checked instances carry cached views that do not
-    pickle; an instance pickles as its parts and rebuilds its caches."""
+    """An instance's slots hold its counts, agents, relations and the pair
+    list and count once cached, all plain values: it round-trips under every
+    protocol from 2, the first that pickles slots, with its caches."""
 
     def test_solved_instance_round_trips(self):
         inst, truth = generate("master_ties", n=4, seed=0)
         mu = gale_shapley(truth, MAN)
         plan = plan_for_matching(inst, truth, mu)
-        copy = pickle.loads(pickle.dumps(inst))
-        assert copy == inst and copy.kind == inst.kind
-        again = plan_for_matching(copy, StrictProfile(truth.ranking), mu)
-        assert again == plan
+        for protocol in PROTOCOLS:
+            copy = pickle.loads(pickle.dumps(inst, protocol))
+            assert copy == inst and copy.kind == inst.kind, protocol
+            again = plan_for_matching(copy, StrictProfile(truth.ranking), mu)
+            assert again == plan, protocol
 
     def test_refined_state_round_trips_after_its_kind_was_read(self):
         for family in FAMILIES:
             inst, truth = generate(family, n=6, seed=1)
             plan = plan_for_matching(inst, truth, gale_shapley(truth, WOMAN))
             assert plan.refined.kind
-            copy = pickle.loads(pickle.dumps(plan.refined))
-            assert copy == plan.refined and copy.kind == plan.refined.kind, family
+            for protocol in PROTOCOLS:
+                copy = pickle.loads(pickle.dumps(plan.refined, protocol))
+                assert copy == plan.refined, (family, protocol)
+                assert copy.kind == plan.refined.kind, (family, protocol)
 
     def test_edge_built_instance_round_trips(self, tri):
         inst = Instance(2, 2, {man(1): Relation(man(1), frozenset({woman(1), woman(2)}),
                                                 frozenset({(woman(1), woman(2))}))})
         for state in (inst, tri.instance):
             assert state.kind
-            assert pickle.loads(pickle.dumps(state)) == state
+            for protocol in PROTOCOLS:
+                assert pickle.loads(pickle.dumps(state, protocol)) == state, protocol
+
+    def test_cached_pairs_and_count_round_trip(self, tri):
+        # the count is cached first, as a solve's callers do, then the list
+        markets = [tri.instance, edge_twin(tri.instance)]
+        markets += [generate(family, n=5, seed=2)[0] for family in FAMILIES]
+        for inst in markets:
+            count = inst.pair_count()
+            pairs = inst.acceptable_pairs()
+            for protocol in PROTOCOLS:
+                copy = pickle.loads(pickle.dumps(inst, protocol))
+                assert copy == inst, protocol
+                assert (copy._pairs, copy._count) == (pairs, count), protocol
+                assert copy.acceptable_pairs() == pairs and copy.pair_count() == count
 
 
 class TestNaiveCost:
