@@ -33,7 +33,7 @@ from .model import (
     Pair,
     StrictProfile,
 )
-from .stability import _open, _true_cut, _very_weak_rows, check_matching, weakly_stable_under
+from .stability import _true_cut, _very_weak_rows, check_matching, weakly_stable_under
 
 
 class PotentialBlocker(NamedTuple):
@@ -231,5 +231,5 @@ def is_resolved(refined: Instance, blocker: PotentialBlocker,
     the scan builds it, so the test costs one set per member, not a scan."""
     m, w = blocker.pair
     relations, partner = refined.relations, matching.partner
-    return (w not in _open(relations[m], partner(m))
-            or m not in _open(relations[w], partner(w)))
+    return (w not in relations[m].open_to(partner(m))
+            or m not in relations[w].open_to(partner(w)))

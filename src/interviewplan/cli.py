@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -316,7 +317,9 @@ BENCH_COLUMNS = ("instance_id", "family", "n_men", "n_women", "pbp_count",
 
 
 def _bench_trials(args):
-    """Yield (instance_id, family, instance, truth, matching|None)."""
+    """Yield (instance_id, family, instance, truth, matching|None).  Every
+    option is checked, and a graph family's graphs are read and its markets
+    built, before the first trial is yielded."""
     build = GRAPH_BUILDERS.get(args.family)
     if build:
         if args.graph_dir:
@@ -328,8 +331,8 @@ def _bench_trials(args):
             ids = [f"graph{i:03d}" for i in range(len(graphs))]
         else:
             raise BadParams("graph-backed families need --graph-dir or --max-n")
-        for gid, graph in zip(ids, graphs):
-            instance, truth, matching, _ = build(graph)
+        markets = [build(graph)[:3] for graph in graphs]
+        for gid, (instance, truth, matching) in zip(ids, markets):
             yield gid, args.family, instance, truth, matching
     else:
         seeds = range(args.seed, args.seed + args.trials)
@@ -338,11 +341,15 @@ def _bench_trials(args):
 
 
 def cmd_bench(args) -> int:
+    # a usage error raises by the first trial, before --out is opened and
+    # emptied, so it leaves an existing file as it was
+    trials = _bench_trials(args)
+    first = list(itertools.islice(trials, 1))
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow(BENCH_COLUMNS)
     try:
-        for instance_id, family, instance, truth, matching in _bench_trials(args):
+        for instance_id, family, instance, truth, matching in itertools.chain(first, trials):
             row = {"instance_id": instance_id, "family": family,
                    "n_men": instance.n_men, "n_women": instance.n_women,
                    "naive_cost": naive_cost(instance), "error": ""}

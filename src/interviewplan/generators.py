@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable
 
-from .errors import BadParams, DegreeTooHigh
+from .errors import BadParams, DegreeTooHigh, SizeLimitExceeded
 from .model import (
     MAN,
     WOMAN,
@@ -329,6 +329,10 @@ def random_bounded_graph(n: int, max_degree: int = 3, seed: int = 0) -> SimpleGr
     return SimpleGraph(n, frozenset(chosen))
 
 
+# the most vertices connected_small_graphs takes: 2^21 edge masks at 7, 2^28 at 8
+SMALL_GRAPH_CAP = 7
+
+
 def connected_small_graphs(max_n: int, max_degree: int = 3) -> list[SimpleGraph]:
     """All connected graphs with up to ``max_n`` vertices obeying the degree
     bound, one representative per isomorphism class, in a deterministic
@@ -337,8 +341,11 @@ def connected_small_graphs(max_n: int, max_degree: int = 3) -> list[SimpleGraph]
     Edge sets are scanned as ascending bitmasks, so the first member of
     each isomorphism class encountered is its minimum labeling; all of its
     relabelings are then marked as seen, which costs one pass over the
-    symmetric group per class rather than per labeled graph.
+    symmetric group per class rather than per labeled graph.  Raises
+    :class:`SizeLimitExceeded` above ``SMALL_GRAPH_CAP`` before any scan.
     """
+    if max_n > SMALL_GRAPH_CAP:
+        raise SizeLimitExceeded(f"{max_n} vertices exceed the cap of {SMALL_GRAPH_CAP}")
     out: list[SimpleGraph] = []
     for n in range(1, max_n + 1):
         pairs = list(itertools.combinations(range(n), 2))

@@ -12,6 +12,7 @@ closure); ``.edges`` still reads as its pairs.
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Optional
@@ -25,12 +26,6 @@ from .model import (
     couple,
     is_refinement,
 )
-
-# an agent that met fewer than a third of the candidates it ranks has
-# them sorted by true rank, otherwise read off its true order: about where
-# the two cost the same, from 6 to 50 ranked candidates
-_SORT_RATIO = 3
-
 
 @dataclass(frozen=True)
 class CompatibilityWitness:
@@ -50,21 +45,12 @@ class CompatibilityWitness:
 
 def _learned(instance: Instance, truth: StrictProfile,
              met: Mapping[Agent, AbstractSet[Agent]]) -> Instance:
-    # The learn core behind both applies: every agent that met two or more
-    # candidates learns their true order.  The truth must rank every
-    # candidate an agent met, as ``refines`` guarantees, so an agent that
-    # met as many candidates as it ranks met exactly its list.
+    # The learn core behind both applies: the truth teaches each agent the
+    # candidates it met, which it must rank, as ``refines`` guarantees.
     rels = dict(instance.relations)
+    teach = truth.teach
     for a, cands in met.items():
-        if len(cands) > 1:
-            order = truth.ranking[a]
-            if len(cands) == len(order):
-                # it met exactly its list: the truth's order and rank map
-                rels[a] = rels[a].learn(order, truth._rank[a])
-            elif len(cands) * _SORT_RATIO < len(order):
-                rels[a] = rels[a].learn(sorted(cands, key=truth.ranks(a).__getitem__))
-            else:
-                rels[a] = rels[a].learn([c for c in order if c in cands])
+        rels[a] = teach(rels[a], cands)
     return Instance(instance.n_men, instance.n_women, rels, base=False)
 
 
@@ -124,22 +110,12 @@ def interview_compatibility(base: Instance, refined: Instance) -> CompatibilityW
     endpoints: dict[Agent, frozenset[Agent]] = {}
     offender = None
     for a in base.agents():
-        new_edges = refined.relations[a].gains_over(base.relations[a])
-        s = set()
-        for c1, c2 in new_edges:
-            s.add(c1)
-            s.add(c2)
-        endpoints[a] = frozenset(s)
+        rel = refined.relations[a]
+        ends = endpoints[a] = frozenset(itertools.chain.from_iterable(
+            rel.gains_over(base.relations[a])))
         if offender is None:
-            members = sorted(s)
-            rel = refined.relations[a]
-            for i, c1 in enumerate(members):
-                for c2 in members[i + 1:]:
-                    if not rel.comparable(c1, c2):
-                        offender = (a, (c1, c2))
-                        break
-                if offender:
-                    break
+            offender = next(((a, pair) for pair in itertools.combinations(sorted(ends), 2)
+                             if not rel.comparable(*pair)), None)
     return CompatibilityWitness(offender is None, endpoints, offender)
 
 

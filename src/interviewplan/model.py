@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     InvalidMatching,
@@ -96,10 +96,10 @@ class Relation:
       every later one.
     - ``extra``: explicit comparisons beyond the classes and the met order.
 
-    ``Relation(owner, acceptable, edges)`` stores explicit edges and no
-    classes.  :func:`tie_relation` stores classes and no edges, and
-    :meth:`learn` stores a met order while sharing the classes and
-    ``extra``; :meth:`owned_by` hands every stored part to another owner.
+    The constructor is the one way to build a relation:
+    ``Relation(owner, acceptable, edges)`` stores the edges as ``extra``,
+    the other parts are keyword-only, shared and never written, and a
+    ``met`` order passed without its ``rank`` map gets one built.
 
     ``edges``, the set of all comparisons, is derived on every read: it
     costs O(d²) for a class-built or learned relation over d candidates, so
@@ -112,28 +112,16 @@ class Relation:
 
     __slots__ = ("owner", "acceptable", "classes", "level", "extra", "met", "rank")
 
-    def __init__(self, owner: Agent, acceptable: frozenset[Agent], edges: frozenset[Pair]):
-        self.owner = owner
-        self.acceptable = acceptable
-        self.classes: tuple[frozenset[Agent], ...] = ()
-        self.level = _NO_RANKS
-        self.extra = edges
-        self.met: tuple[Agent, ...] = ()
-        self.rank = _NO_RANKS
-
-    @classmethod
-    def _of(cls, owner: Agent, acceptable: frozenset[Agent],
-            classes: tuple[frozenset[Agent], ...], level: Mapping[Agent, int],
-            extra: frozenset[Pair], met: tuple[Agent, ...] = (),
-            rank: Optional[dict[Agent, int]] = None) -> Relation:
-        rel = cls.__new__(cls)
-        rel.owner, rel.acceptable, rel.extra = owner, acceptable, extra
-        rel.classes, rel.level = classes, level
-        rel.met = met
+    def __init__(self, owner: Agent, acceptable: frozenset[Agent],
+                 edges: frozenset[Pair] = frozenset(), *,
+                 classes: tuple[frozenset[Agent], ...] = (),
+                 level: Mapping[Agent, int] = _NO_RANKS, met: tuple[Agent, ...] = (),
+                 rank: Optional[Mapping[Agent, int]] = None):
+        self.owner, self.acceptable, self.extra = owner, acceptable, edges
+        self.classes, self.level, self.met = classes, level, met
         if rank is None:
             rank = dict(zip(met, range(len(met)))) if met else _NO_RANKS
-        rel.rank = rank
-        return rel
+        self.rank = rank
 
     @property
     def edges(self) -> frozenset[Pair]:
@@ -162,6 +150,24 @@ class Relation:
     def comparable(self, c1: Agent, c2: Agent) -> bool:
         return self.prefers(c1, c2) or self.prefers(c2, c1)
 
+    def open_to(self, partner: Optional[Agent]) -> AbstractSet[Agent]:
+        """The candidates the owner does not prefer ``partner`` to, the
+        partner excluded, or every acceptable one when unmatched (None): not
+        in a later class, not met and ranked after the partner, and not below
+        it by an ``extra`` edge, tested per candidate so that an edge-built
+        relation is never expanded.  A pair very weakly blocks a matching
+        exactly when each member is open to the other."""
+        if partner is None:
+            return self.acceptable
+        at, rank = self.level.get(partner), self.rank.get(partner)
+        later = self.classes[at + 1:] if at is not None else ()
+        met_after = self.met[rank + 1:] if rank is not None else ()
+        out = self.acceptable.difference((partner,), met_after, *later)
+        extra = self.extra
+        if extra:
+            return {c for c in out if (partner, c) not in extra}
+        return out
+
     def learn(self, ordered: Sequence[Agent],
               rank: Optional[dict[Agent, int]] = None) -> Relation:
         """This relation after meeting the candidates in ``ordered``, given
@@ -171,31 +177,34 @@ class Relation:
         its whole list can hold the truth's own rank map.
 
         A relation that already holds a met order keeps both orders as
-        literal pairs in ``extra`` and holds no met order afterwards."""
+        literal pairs in ``extra`` and holds no met order afterwards, by
+        design: the same state written by ``format_instance`` and parsed
+        back holds its met order as plain edges, and a second round there
+        adds only the new order's pairs.  One met order over both rounds
+        would differ from it, comparing candidates no round met together."""
         met = tuple(ordered)
         if self.met:
             extra = self.extra.union(itertools.combinations(self.met, 2),
                                      itertools.combinations(met, 2))
-            return Relation._of(self.owner, self.acceptable, self.classes, self.level, extra)
-        return Relation._of(self.owner, self.acceptable, self.classes, self.level,
-                            self.extra, met, rank)
+            return Relation(self.owner, self.acceptable, extra,
+                            classes=self.classes, level=self.level)
+        return Relation(self.owner, self.acceptable, self.extra,
+                        classes=self.classes, level=self.level, met=met, rank=rank)
 
     def owned_by(self, owner: Agent) -> Relation:
         """This relation held by ``owner``: the same candidates and
         comparisons, sharing every stored part, so agents who rank the same
         classes share one copy of them."""
-        rel = Relation.__new__(Relation)
-        rel.owner, rel.acceptable, rel.extra = owner, self.acceptable, self.extra
-        rel.classes, rel.level = self.classes, self.level
-        rel.met, rel.rank = self.met, self.rank
-        return rel
+        return Relation(owner, self.acceptable, self.extra, classes=self.classes,
+                        level=self.level, met=self.met, rank=self.rank)
 
     def restricted(self, keep: frozenset[Agent]) -> Relation:
         """This relation over the candidates in ``keep`` only."""
         extra = frozenset((c1, c2) for c1, c2 in self.extra if c1 in keep and c2 in keep)
         ties = tie_relation(self.owner, (cls & keep for cls in self.classes))
         met = tuple(c for c in self.met if c in keep)
-        return Relation._of(self.owner, keep, ties.classes, ties.level, extra, met)
+        return Relation(self.owner, keep, extra, classes=ties.classes, level=ties.level,
+                        met=met)
 
     def gains_over(self, base: Relation) -> frozenset[Pair]:
         """The comparisons of this relation that ``base`` lacks."""
@@ -338,7 +347,13 @@ def tie_relation(owner: Agent, classes: Iterable[Iterable[Agent]]) -> Relation:
     non-empty classes and their levels; builds no edge set."""
     kept = tuple(cls for cls in map(frozenset, classes) if cls)
     level = {c: i for i, cls in enumerate(kept) for c in cls}
-    return Relation._of(owner, frozenset(level), kept, level, frozenset())
+    return Relation(owner, frozenset(level), classes=kept, level=level)
+
+
+# an agent that met fewer than a third of the candidates it ranks has
+# them sorted by true rank, otherwise read off its true order: about where
+# the two cost the same, from 6 to 50 ranked candidates
+_SORT_RATIO = 3
 
 
 class StrictProfile:
@@ -365,6 +380,23 @@ class StrictProfile:
 
     def rank(self, a: Agent, c: Agent) -> int:
         return self._rank[a][c]
+
+    def teach(self, rel: Relation, met: AbstractSet[Agent]) -> Relation:
+        """``rel`` after its owner met ``met``, which the profile must rank for
+        it (:meth:`refines` guarantees it): two or more candidates teach the
+        owner their true order, fewer teach nothing.  An owner that met its
+        whole list shares the profile's order tuple and plain rank dict; any
+        other order is sorted by true rank when the owner met under a
+        ``_SORT_RATIO``-th of its list, and otherwise read off its order."""
+        if len(met) < 2:
+            return rel
+        a = rel.owner
+        order = self.ranking[a]
+        if len(met) == len(order):
+            return rel.learn(order, self._rank[a])
+        if len(met) * _SORT_RATIO < len(order):
+            return rel.learn(sorted(met, key=self._rank[a].__getitem__))
+        return rel.learn([c for c in order if c in met])
 
     def ranks(self, a: Agent) -> Mapping[Agent, int]:
         """Read-only map from each candidate ``a`` ranks to its position, best

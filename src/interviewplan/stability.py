@@ -16,13 +16,8 @@ order, and :func:`_very_weak_blockers` flattens the rows into pairs.
 Every strong or weak blocker is also a very weak one, so the other levels
 are filters over it.  Like Irving's super-stability algorithm, the scan reads
 each agent's position relative to its partner rather than comparing pair
-by pair.  An agent's open candidates are every acceptable one when it is
-unmatched, and otherwise those it does not prefer its partner to: not in
-a class after the partner's, not met and ranked after the partner, and not
-below the partner by an explicit ``extra`` edge, tested per candidate so
-that an edge-built relation is never expanded.  A pair very weakly blocks
-exactly when each member is open to the other.  The scan walks only each
-man's open candidates, so it never lists every acceptable pair.
+by pair: it walks only each man's open candidates
+(:meth:`Relation.open_to`), so it never lists every acceptable pair.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from .model import (
     Instance,
     Matching,
     Pair,
-    Relation,
     StrictProfile,
     detect_tie_structure,
     linear_extensions,
@@ -119,25 +113,6 @@ def _qualifies(level: Blocking, man_att: Attitude, woman_att: Attitude) -> bool:
     return man_att in _KEEN and woman_att in _KEEN
 
 
-def _open(rel: Relation, partner: Optional[Agent]) -> AbstractSet[Agent]:
-    """The owner's open candidates: every acceptable one when unmatched;
-    otherwise those it does not prefer its partner to, the partner
-    excluded.  It prefers the partner to everyone in a later class, every
-    met candidate ranked after the partner and every ``c`` with an extra
-    edge ``(partner, c)``, which is exactly ``prefers(partner, c)``."""
-    if partner is None:
-        return rel.acceptable
-    at, rank = rel.level.get(partner), rel.rank.get(partner)
-    later = rel.classes[at + 1:] if at is not None else ()
-    met_after = rel.met[rank + 1:] if rank is not None else ()
-    out = rel.acceptable.difference((partner,), met_after, *later)
-    extra = rel.extra
-    if extra:
-        # tested per candidate, so an edge-built relation is never expanded
-        return {c for c in out if (partner, c) not in extra}
-    return out
-
-
 def _very_weak_rows(instance: Instance,
                     matching: Matching) -> Iterator[tuple[Agent, list[Agent]]]:
     # Unchecked: the caller validates the matching.  A pair very weakly
@@ -152,13 +127,13 @@ def _very_weak_rows(instance: Instance,
     opens: dict[Agent, AbstractSet[Agent]] = {}
     for m in instance.men():
         row = []
-        for w in _open(relations[m], partner(m)):
+        for w in relations[m].open_to(partner(m)):
             open_w = opens.get(w)
             if open_w is None:
                 rel = relations.get(w)
                 if rel is None:
                     continue
-                open_w = opens[w] = _open(rel, partner(w))
+                open_w = opens[w] = rel.open_to(partner(w))
             if m in open_w:
                 row.append(w)
         if row:

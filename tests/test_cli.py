@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import interviewplan
-from interviewplan import cli, stability
+from interviewplan import cli, generators, stability
 from interviewplan.cli import main
 from interviewplan.formats import (
     format_instance,
@@ -15,7 +15,7 @@ from interviewplan.formats import (
     parse_certificate,
 )
 from interviewplan.fixtures import load
-from interviewplan.generators import generate
+from interviewplan.generators import SMALL_GRAPH_CAP, generate
 from interviewplan.interviews import apply_interviews
 from interviewplan.model import interview_set, man, woman
 
@@ -365,6 +365,32 @@ class TestBench:
         assert code == 0
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "vc3-smti"),
+        ("--family", "random-smti"),
+        ("--family", "tiered", "--n", "4", "--tiers", "2,x"),
+    ])
+    def test_usage_error_leaves_an_existing_out_file_as_it_was(self, capsys, tmp_path,
+                                                                argv):
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"instance_id,family\r\nkept-0000,tiered\r\n")
+        code, _, err = run(capsys, "bench", *argv, "--out", str(out))
+        assert code == 2 and err.startswith("error: ")
+        assert out.read_bytes() == b"instance_id,family\r\nkept-0000,tiered\r\n"
+
+    def test_graph_size_over_the_cap_fails_before_any_scan(self, capsys, tmp_path,
+                                                           monkeypatch):
+        def scanned(n, edges):
+            raise AssertionError("the edge masks were scanned")
+
+        monkeypatch.setattr(generators, "_connected", scanned)
+        out = tmp_path / "rows.csv"
+        out.write_bytes(b"kept\r\n")
+        code, _, err = run(capsys, "bench", "--family", "vc3-smti", "--max-n",
+                           str(SMALL_GRAPH_CAP + 1), "--out", str(out))
+        assert (code, err) == (1, f"error: 8 vertices exceed the cap of {SMALL_GRAPH_CAP}\n")
+        assert out.read_bytes() == b"kept\r\n"
 
     def test_csv_byte_identical_with_omit_runtime(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -3,9 +3,11 @@ import pickle
 import pytest
 from helpers import reference_generate
 
-from interviewplan.errors import BadParams, DegreeTooHigh
+from interviewplan import generators
+from interviewplan.errors import BadParams, DegreeTooHigh, SizeLimitExceeded
 from interviewplan.generators import (
     FAMILIES,
+    SMALL_GRAPH_CAP,
     SimpleGraph,
     connected_small_graphs,
     cover_market_smt,
@@ -266,6 +268,16 @@ class TestGraphEnumeration:
         for g in graphs:
             by_n.setdefault(g.n, []).append(g)
         assert [len(by_n.get(n, [])) for n in (1, 2, 3, 4)] == [1, 1, 2, 6]
+
+    def test_sizes_over_the_cap_raise_before_any_scan(self, monkeypatch):
+        # 2^28 edge masks at 8 vertices against 2^21 at the cap of 7
+        def scanned(n, edges):
+            raise AssertionError("the edge masks were scanned")
+
+        monkeypatch.setattr(generators, "_connected", scanned)
+        assert SMALL_GRAPH_CAP == 7
+        with pytest.raises(SizeLimitExceeded, match="8 vertices exceed the cap of 7"):
+            connected_small_graphs(SMALL_GRAPH_CAP + 1)
 
     def test_members_are_connected_and_bounded(self, small_graphs):
         for g in small_graphs:

@@ -12,7 +12,7 @@ from interviewplan.errors import (
     TruthInconsistent,
     UnacceptablePair,
 )
-from interviewplan.formats import format_instance
+from interviewplan.formats import format_instance, parse_instance
 from interviewplan.generators import (
     FAMILIES,
     cover_market_smt,
@@ -21,7 +21,6 @@ from interviewplan.generators import (
     random_bounded_graph,
 )
 from interviewplan.interviews import (
-    _SORT_RATIO,
     _apply_unchecked,
     apply_interviews,
     interview_compatibility,
@@ -29,6 +28,8 @@ from interviewplan.interviews import (
 )
 from interviewplan.model import (
     MAN,
+    WOMAN,
+    _SORT_RATIO,
     Instance,
     Relation,
     StrictProfile,
@@ -365,6 +366,25 @@ class TestRoundTrip:
                 witness = interview_compatibility(twin, refined_twin)
                 assert interview_compatibility(inst, refined) == witness
                 assert interview_cost(inst, refined) == interview_cost(twin, refined_twin)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_second_round_on_a_plan_equals_it_on_the_parse_back(self, family):
+        # a parsed-back refined state holds its met orders as plain edges, so
+        # a second round must add only the new orders' pairs on both copies
+        inst, truth = generate(family, n=10, seed=3, density=0.8)
+        pairs = inst.acceptable_pairs()
+        again = interview_set(p for i, p in enumerate(pairs) if i % 3 == 0)
+        for side in (MAN, WOMAN):
+            refined = plan_for_matching(inst, truth, gale_shapley(truth, side)).refined
+            parsed = parse_instance(format_instance(refined), base=False)
+            assert parsed == refined
+            relearners = [a for a in inst.agents() if refined.relations[a].met
+                          and sum(a in p for p in again) > 1]
+            assert relearners and not any(parsed.relations[a].met for a in relearners)
+            ours = apply_interviews(refined, truth, again)
+            theirs = apply_interviews(parsed, truth, again)
+            assert ours == theirs, (family, side)
+            assert format_instance(ours) == format_instance(theirs), (family, side)
 
     def test_edge_growth_is_monotone_in_interviews(self):
         rng = random.Random(7)

@@ -107,7 +107,7 @@ def classed(owner, acceptable, classes, extra=()):
     ``extra`` edges."""
     kept = tuple(frozenset(cls) for cls in classes if cls)
     level = {c: i for i, cls in enumerate(kept) for c in cls}
-    return Relation._of(owner, frozenset(acceptable), kept, level, frozenset(extra))
+    return Relation(owner, frozenset(acceptable), frozenset(extra), classes=kept, level=level)
 
 
 class ReadCountingDict(dict):

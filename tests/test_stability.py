@@ -182,8 +182,8 @@ def odd_markets(draw):
         extra = frozenset(p for p in itertools.permutations(others, 2)
                           if draw(st.integers(0, 5)) == 0)
         met = draw(st.permutations([c for c in acceptable if draw(st.booleans())]))
-        rels[a] = Relation._of(a, frozenset(acceptable), ties.classes, ties.level,
-                               extra, tuple(met))
+        rels[a] = Relation(a, frozenset(acceptable), extra, classes=ties.classes,
+                           level=ties.level, met=tuple(met))
     instance = Instance(n_men, n_women, rels, base=False)
     return instance, draw_partial_matching(draw, instance)
 
