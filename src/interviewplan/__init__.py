@@ -68,16 +68,18 @@ from .model import (
     detect_tie_structure,
     interview_set,
     is_refinement,
-    linear_extensions,
     man,
     validate_instance,
     woman,
 )
 from .oracles import (
     brute_force_cover,
+    extension_agreement,
     find_super_stable,
+    linear_extensions,
     oracle_best_plan,
     oracle_plan_for_matching,
+    stable_matchings,
 )
 from .solvers import (
     InterviewPlan,
@@ -94,10 +96,8 @@ from .stability import (
     BlockingPair,
     Stability,
     blocking_pairs,
-    extension_agreement,
     gale_shapley,
     is_stable,
-    stable_matchings,
 )
 
 __version__ = "0.1.0"

@@ -49,18 +49,13 @@ from .generators import (
 from .interviews import interview_compatibility, interview_cost
 from .model import detect_tie_structure
 from .oracles import (
+    extension_agreement,
     find_super_stable,
     oracle_best_plan,
     oracle_plan_for_matching,
 )
 from .solvers import best_plan, naive_cost, plan_for_matching
-from .stability import (
-    Stability,
-    check_matching,
-    extension_agreement,
-    gale_shapley,
-    is_stable,
-)
+from .stability import Stability, check_matching, gale_shapley, is_stable
 
 GEN_FAMILIES = ("tiered", "random-smti", "master-ties", "one-side-strict",
                 "vc3-smti", "vc3-smt")

@@ -22,10 +22,8 @@ from .model import (
     StrictProfile,
     couple,
     detect_tie_structure,
-    man,
     tie_relation,
     validate_instance,
-    woman,
 )
 
 

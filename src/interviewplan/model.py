@@ -703,60 +703,3 @@ def detect_tie_structure(
     order; a new dict on each call."""
     relations = instance.relations
     return {a: agent_tie_structure(relations[a]) for a in instance.agents()}
-
-
-# ---------------------------------------------------------------------------
-# linear extensions
-
-
-def linear_extensions(instance: Instance, a: Agent,
-                      cap: int = 10000) -> tuple[list[tuple[Agent, ...]], bool]:
-    """Enumerate the strict total orders consistent with the agent's edges.
-
-    Emits in lexicographic order (by candidate sort order at each position)
-    and stops once ``cap`` orders have been produced, returning an overflow
-    flag instead of raising.  The search keeps its own stack of chosen
-    positions, so its depth is not bounded by the interpreter's recursion
-    limit.
-    """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    rel = instance.relations[a]
-    items = sorted(rel.acceptable)
-    n = len(items)
-    # below[j]: the positions of the candidates items[j] is preferred to;
-    # waiting[i]: how many unplaced candidates are preferred to items[i]
-    below = [[i for i, c in enumerate(items) if rel.prefers(d, c)] for d in items]
-    waiting = [0] * n
-    for worse in below:
-        for i in worse:
-            waiting[i] += 1
-    placed = [False] * n
-    chosen: list[int] = []
-    out: list[tuple[Agent, ...]] = []
-    overflow = False
-    start = 0  # the first position the current depth may still try
-    while True:
-        if len(chosen) == n:
-            if len(out) == cap:
-                overflow = True
-                break
-            out.append(tuple(items[i] for i in chosen))
-            nxt = n
-        else:
-            nxt = next((i for i in range(start, n) if not placed[i] and not waiting[i]), n)
-        if nxt < n:
-            placed[nxt] = True
-            for i in below[nxt]:
-                waiting[i] -= 1
-            chosen.append(nxt)
-            start = 0
-            continue
-        if not chosen:
-            break
-        last = chosen.pop()
-        placed[last] = False
-        for i in below[last]:
-            waiting[i] += 1
-        start = last + 1
-    return out, overflow

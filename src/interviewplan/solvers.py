@@ -32,7 +32,8 @@ from .model import (
     StrictProfile,
     detect_tie_structure,
 )
-from .stability import Stability, is_stable, stable_matchings
+from .oracles import stable_matchings  # the candidate screen, until a polynomial one
+from .stability import Stability, is_stable
 
 # search nodes one min_vertex_cover call may expand before it gives up
 COVER_NODE_BUDGET = 250_000
@@ -351,7 +352,10 @@ def best_plan(instance: Instance, truth: StrictProfile,
 
     A knowledge state admits a super-stable matching exactly when some
     weakly stable matching of the truth is super-stable in it, so
-    minimizing over the truth's stable matchings is exact.
+    minimizing over the truth's stable matchings is exact.  The candidates
+    come from the oracles' exhaustive screen, capped at ``size_cap`` agents
+    per side, until a polynomial enumeration of the stable matchings
+    replaces it.
     """
     candidates = stable_matchings(truth, size_cap)
     best: tuple[InterviewPlan, Matching] | None = None

@@ -1,5 +1,5 @@
 """Blocking pairs, the three stability levels, deferred acceptance, and
-exhaustive enumeration of the stable matchings of a strict profile.
+weak stability under the truth.
 
 Blocking comes in three strengths depending on how the two members relate
 to their current situation: a strong blocking pair has both members
@@ -22,25 +22,14 @@ by pair: it walks only each man's open candidates
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import AbstractSet, Iterator, Mapping, Optional
+from typing import AbstractSet, Iterator, Mapping
 
-from .errors import InvalidMatching, SizeLimitExceeded
-from .model import (
-    MAN,
-    Agent,
-    Instance,
-    Matching,
-    Pair,
-    StrictProfile,
-    detect_tie_structure,
-    linear_extensions,
-)
+from .errors import InvalidMatching
+from .model import MAN, Agent, Instance, Matching, Pair, StrictProfile
 
 
 class Attitude(Enum):
@@ -238,117 +227,3 @@ def weakly_stable_under(truth: StrictProfile, matching: Matching) -> bool:
             if ranks_w.get(m, cut_w) < cut_w:
                 return False
     return True
-
-
-def iter_matchings(instance: Instance) -> Iterator[tuple[Pair, ...]]:
-    """Every partial one-to-one pairing over the mutually acceptable
-    pairs, as sorted pair tuples.  Each man in index order takes each free
-    acceptable woman in turn and then stays unmatched; the search keeps its
-    own stack, so the recursion limit does not bound its depth."""
-    men = instance.men()
-    if not men:
-        yield ()
-        return
-    women: list[list[Agent]] = [[] for _ in men]
-    for m, w in instance.acceptable_pairs():
-        women[m.index - 1].append(w)
-    # each man's choices: his women, then None for staying unmatched
-    choices: list[list[Optional[Agent]]] = [[*ws, None] for ws in women]
-    taken: set[Optional[Agent]] = set()
-    acc: list[Pair] = []
-    held: list[Optional[Agent]] = []  # the choice of each man on the stack
-    untried = [iter(choices[0])]  # the choices each man on the stack has left
-    while untried:
-        if len(held) == len(untried):  # back at this man: give back what he held
-            w = held.pop()
-            taken.discard(w)
-            if w is not None:
-                acc.pop()
-        for w in untried[-1]:
-            if w not in taken:
-                break
-        else:
-            untried.pop()
-            continue
-        held.append(w)
-        if w is not None:
-            taken.add(w)
-            acc.append((men[len(held) - 1], w))
-        if len(untried) == len(men):
-            yield tuple(acc)
-        else:
-            untried.append(iter(choices[len(untried)]))
-
-
-def stable_matchings(truth: StrictProfile, size_cap: int = 8) -> tuple[Matching, ...]:
-    """All weakly stable matchings of a strict profile, by exhaustive search
-    over matchings, in ascending pair order."""
-    strict = truth.as_instance()
-    if strict.n_men > size_cap or strict.n_women > size_cap:
-        raise SizeLimitExceeded(
-            f"{strict.n_men}x{strict.n_women} exceeds the cap of {size_cap} per side")
-    found = [Matching(pairs) for pairs in iter_matchings(strict)
-             if weakly_stable_under(truth, Matching(pairs))]
-    return tuple(sorted(found, key=lambda mu: mu.pairs))
-
-
-# ---------------------------------------------------------------------------
-# cross-check: super-stability versus stability in every completion
-
-
-def extension_agreement(instance: Instance, matching: Matching,
-                        product_cap: int = 200000) -> bool:
-    """True when the super-stability verdict coincides with weak stability
-    under every combination of per-agent linear extensions.
-
-    Exhaustive over extension profiles, so only usable at desk scale; the
-    product of per-agent extension counts must stay within ``product_cap``.
-    """
-    check_matching(instance, matching)
-    agents = instance.agents()
-    ties = detect_tie_structure(instance)
-    per_agent: list[list[dict[Agent, int]]] = []
-    product = 1
-    for a in agents:
-        if ties[a] is None:
-            exts, overflow = linear_extensions(instance, a, cap=product_cap + 1)
-            # an overflow stops one past the enumeration cap
-            count = len(exts) + overflow
-        else:
-            # ordered classes have exactly prod |C|! extensions, so both caps
-            # are decided before any enumeration
-            exts = None
-            count = math.prod(math.factorial(len(c)) for c in ties[a])
-        if count > product_cap + 1:
-            raise SizeLimitExceeded(
-                f"{a} has more than {product_cap} linear extensions")
-        product *= count
-        if product > product_cap:
-            raise SizeLimitExceeded(
-                f"extension profile space exceeds the cap of {product_cap}")
-        if exts is None:
-            exts, _ = linear_extensions(instance, a, cap=product_cap + 1)
-        per_agent.append([{c: i for i, c in enumerate(ext)} for ext in exts])
-
-    super_verdict = not any(_very_weak_blockers(instance, matching))
-    pairs = [(m, w) for m, w in instance.acceptable_pairs()
-             if matching.partner(m) != w]
-    index = {a: i for i, a in enumerate(agents)}
-    all_profiles_stable = True
-    for combo in itertools.product(*per_agent):
-        stable = True
-        for m, w in pairs:
-            rank_m = combo[index[m]]
-            pm = matching.partner(m)
-            if pm is not None and rank_m[w] > rank_m[pm]:
-                continue
-            rank_w = combo[index[w]]
-            pw = matching.partner(w)
-            if pw is not None and rank_w[m] > rank_w[pw]:
-                continue
-            stable = False
-            break
-        if not stable:
-            all_profiles_stable = False
-            break
-    return super_verdict == all_profiles_stable

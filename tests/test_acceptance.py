@@ -25,17 +25,13 @@ from interviewplan.interviews import (
 from interviewplan.model import interview_set
 from interviewplan.oracles import (
     brute_force_cover,
+    extension_agreement,
     oracle_best_plan,
     oracle_plan_for_matching,
-)
-from interviewplan.solvers import min_vertex_cover, naive_cost, plan_for_matching, best_plan
-from interviewplan.stability import (
-    Stability,
-    extension_agreement,
-    gale_shapley,
-    is_stable,
     stable_matchings,
 )
+from interviewplan.solvers import min_vertex_cover, naive_cost, plan_for_matching, best_plan
+from interviewplan.stability import Stability, gale_shapley, is_stable
 
 
 def test_01_smallest_hard_market_optimum_is_three(fig1):

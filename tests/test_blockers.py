@@ -170,7 +170,7 @@ class TestExhaustiveEquivalences:
 
     def test_two_by_two_slice(self):
         from helpers import all_2x2_markets, check_resolution_equivalence
-        from interviewplan.stability import stable_matchings
+        from interviewplan.oracles import stable_matchings
 
         count = 0
         for inst, truth in itertools.islice(all_2x2_markets(), 300):

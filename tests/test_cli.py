@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import interviewplan
-from interviewplan import cli, generators, stability
+from interviewplan import cli, generators, oracles, stability
 from interviewplan.cli import main
 from interviewplan.formats import (
     format_instance,
@@ -199,17 +199,17 @@ class TestCheck:
         counted = run(capsys, *argv)
         assert f"  super-stability vs completions: skipped ({skipped})\n" in counted[1]
         with monkeypatch.context() as patch:
-            patch.setattr(stability, "detect_tie_structure", lambda instance: dict.fromkeys(
+            patch.setattr(oracles, "detect_tie_structure", lambda instance: dict.fromkeys(
                 instance.agents()))
             assert run(capsys, *argv) == counted
         enumerated = []
-        real = stability.linear_extensions
+        real = oracles.linear_extensions
 
         def logged(instance, a, cap):
             enumerated.append(a)
             return real(instance, a, cap)
 
-        monkeypatch.setattr(stability, "linear_extensions", logged)
+        monkeypatch.setattr(oracles, "linear_extensions", logged)
         assert run(capsys, *argv) == counted
         assert len(enumerated) == (1 if cap == 100000 else 0)
 

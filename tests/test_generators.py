@@ -25,9 +25,9 @@ from interviewplan.model import (
     tie_relation,
     validate_instance,
 )
-from interviewplan.oracles import brute_force_cover, oracle_best_plan
+from interviewplan.oracles import brute_force_cover, oracle_best_plan, stable_matchings
 from interviewplan.solvers import naive_cost, plan_for_matching
-from interviewplan.stability import gale_shapley, stable_matchings
+from interviewplan.stability import gale_shapley
 
 
 def graph(n, edges):

@@ -31,13 +31,13 @@ from interviewplan.model import (
     compare,
     detect_tie_structure,
     is_refinement,
-    linear_extensions,
     man,
     relation,
     tie_relation,
     validate_instance,
     woman,
 )
+from interviewplan.oracles import linear_extensions
 from interviewplan.solvers import detect_structure
 
 

@@ -1,4 +1,6 @@
 import pytest
+from helpers import class_markets
+from hypothesis import given, settings
 
 from interviewplan.errors import (
     InvalidMatching,
@@ -8,19 +10,15 @@ from interviewplan.errors import (
 )
 from interviewplan.generators import SimpleGraph, generate
 from interviewplan.interviews import apply_interviews
-from interviewplan.model import Matching, StrictProfile, interview_set, man, woman
+from interviewplan.model import MAN, WOMAN, Matching, StrictProfile, interview_set, man, woman
 from interviewplan.oracles import (
     brute_force_cover,
     find_super_stable,
     oracle_best_plan,
     oracle_plan_for_matching,
-)
-from interviewplan.stability import (
-    Stability,
-    gale_shapley,
-    is_stable,
     stable_matchings,
 )
+from interviewplan.stability import Stability, gale_shapley, is_stable
 
 
 class TestOraclePlanForMatching:
@@ -122,6 +120,19 @@ class TestOracleBestPlan:
             cost, chosen, mu = oracle_best_plan(inst, truth)
             refined = apply_interviews(inst, truth, chosen)
             assert is_stable(refined, mu, Stability.SUPER)
+
+
+class TestStableMatchings:
+    @settings(max_examples=300)
+    @given(class_markets())
+    def test_lists_both_optimal_matchings_and_matches_the_same_agents(self, market):
+        # deferred acceptance from either side is stable, and by the Rural
+        # Hospitals theorem every stable matching matches the same agents
+        truth = market[1]
+        found = stable_matchings(truth)
+        assert gale_shapley(truth, MAN) in found
+        assert gale_shapley(truth, WOMAN) in found
+        assert len({frozenset(a for pair in mu.pairs for a in pair) for mu in found}) == 1
 
 
 class TestFindSuperStable:

@@ -31,13 +31,17 @@ from interviewplan.model import (
     Instance,
     Relation,
     StrictProfile,
-    linear_extensions,
     man,
     tie_relation,
     validate_instance,
     woman,
 )
-from interviewplan.oracles import brute_force_cover, oracle_best_plan, oracle_plan_for_matching
+from interviewplan.oracles import (
+    brute_force_cover,
+    linear_extensions,
+    oracle_best_plan,
+    oracle_plan_for_matching,
+)
 from interviewplan.solvers import (
     PlanStructure,
     _CoverSearch,

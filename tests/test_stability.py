@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from interviewplan.blockers import PotentialBlocker, analyze_blockers, is_resolved
 from interviewplan.errors import InvalidMatching, SizeLimitExceeded
-from interviewplan import fixtures, stability
+from interviewplan import fixtures, oracles
 from interviewplan.generators import FAMILIES, generate
 from interviewplan.interviews import _apply_unchecked, apply_interviews
 from interviewplan.model import (
@@ -25,10 +25,15 @@ from interviewplan.model import (
     Relation,
     detect_tie_structure,
     interview_set,
-    linear_extensions,
     man,
     tie_relation,
     woman,
+)
+from interviewplan.oracles import (
+    extension_agreement,
+    iter_matchings,
+    linear_extensions,
+    stable_matchings,
 )
 from interviewplan.stability import (
     Blocking,
@@ -36,11 +41,8 @@ from interviewplan.stability import (
     _very_weak_blockers,
     _very_weak_rows,
     blocking_pairs,
-    extension_agreement,
     gale_shapley,
     is_stable,
-    iter_matchings,
-    stable_matchings,
     weakly_stable_under,
 )
 
@@ -428,7 +430,7 @@ class TestExtensionAgreement:
 
         inst, truth = generate("master_ties", n=50, seed=0)
         mu = gale_shapley(truth)
-        monkeypatch.setattr(stability, "linear_extensions", unused)
+        monkeypatch.setattr(oracles, "linear_extensions", unused)
         with pytest.raises(SizeLimitExceeded,
                            match="^m1 has more than 100000 linear extensions$"):
             extension_agreement(inst, mu, product_cap=100000)
