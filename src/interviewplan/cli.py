@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import sys
 import time
@@ -454,9 +455,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main, not at import, and kept for the
+# process: parse_args returns a fresh namespace each time and leaves the
+# parser as it found it.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, BadParams) as err:

@@ -229,6 +229,7 @@ def generate(family: str, *, n: int, seed: int, tiers: Iterable[int] | None = No
     if not 0.0 <= density <= 1.0:
         raise BadParams("density must lie in [0, 1]")
     rng = Random(seed)
+    getrandbits = rng.getrandbits
     men_list = [man(i) for i in range(1, n + 1)]
     women_list = [woman(j) for j in range(1, n + 1)]
 
@@ -246,8 +247,8 @@ def generate(family: str, *, n: int, seed: int, tiers: Iterable[int] | None = No
         classes = {a: men_classes for a in men_list}
         classes.update({a: women_classes for a in women_list})
     elif family == "master_ties":
-        men_classes = _random_partition(rng, women_list, tie_cap)
-        women_classes = _random_partition(rng, men_list, tie_cap)
+        men_classes = _random_partition(getrandbits, women_list, tie_cap)
+        women_classes = _random_partition(getrandbits, men_list, tie_cap)
         classes = {a: men_classes for a in men_list}
         classes.update({a: women_classes for a in women_list})
     else:
@@ -256,10 +257,10 @@ def generate(family: str, *, n: int, seed: int, tiers: Iterable[int] | None = No
         for a in men_list + women_list:
             mine = sorted(acceptable[a])
             if family == "one_side_strict" and a.side == WOMAN:
-                rng.shuffle(mine)
+                _shuffle(getrandbits, mine)
                 classes[a] = [[c] for c in mine]
             else:
-                classes[a] = _random_partition(rng, mine, tie_cap)
+                classes[a] = _random_partition(getrandbits, mine, tie_cap)
 
     # one relation per distinct class list: the shared families hand every
     # agent on a side the same list, and each agent holds it re-owned
@@ -275,23 +276,66 @@ def generate(family: str, *, n: int, seed: int, tiers: Iterable[int] | None = No
             rels[a] = shared.owned_by(a)
         order = []
         for group in mine:
-            if len(group) > 1:
-                # a one-member list would draw nothing from the shuffle
+            # _shuffle inlined: classes are mostly small, and a call per
+            # class costs about as much as its draws; a one-member class
+            # draws nothing
+            i = len(group) - 1
+            if i:
                 group = list(group)
-                rng.shuffle(group)
+                while i:
+                    k = (i + 1).bit_length()
+                    j = getrandbits(k)
+                    while j > i:
+                        j = getrandbits(k)
+                    group[i], group[j] = group[j], group[i]
+                    i -= 1
             order.extend(group)
         ranking[a] = tuple(order)
     return Instance(n, n, rels), StrictProfile(ranking)
 
 
-def _random_partition(rng: Random, items: list, cap: int) -> list[list]:
+# Shuffles and bounded integers are drawn straight from the generator's
+# bound getrandbits by _below's rule, which is Random._randbelow's, so
+# _shuffle(getrandbits, x) draws as rng.shuffle(x) and
+# a + _below(getrandbits, b - a + 1) as rng.randint(a, b), bit for bit,
+# without two calls through the Random object per draw.  Only
+# _random_mutual's coin flips still call rng.random().
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw from ``range(n)``, ``n >= 1``: ``getrandbits`` of n's bit
+    length, redrawn until below n, so ``_below(getrandbits, 1)`` still
+    draws one bit."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _shuffle(getrandbits: Callable[[int], int], x: list) -> None:
+    """Shuffle ``x`` in place with the draws of ``Random.shuffle``."""
+    for i in range(len(x) - 1, 0, -1):
+        # _below(getrandbits, i + 1), inlined
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _random_partition(getrandbits: Callable[[int], int], items: list,
+                      cap: int) -> list[list]:
+    """The items shuffled, then cut into consecutive classes of 1..cap
+    members each."""
     pool = list(items)
-    rng.shuffle(pool)
+    _shuffle(getrandbits, pool)
     out = []
-    while pool:
-        size = rng.randint(1, min(cap, len(pool)))
-        out.append(pool[:size])
-        pool = pool[size:]
+    start, end = 0, len(pool)
+    while start < end:
+        size = 1 + _below(getrandbits, min(cap, end - start))
+        out.append(pool[start:start + size])
+        start += size
     return out
 
 
@@ -313,10 +357,10 @@ def random_bounded_graph(n: int, max_degree: int = 3, seed: int = 0) -> SimpleGr
     """A random graph on n vertices respecting the degree bound."""
     if n < 1:
         raise BadParams("n must be at least 1")
-    rng = Random(seed)
+    getrandbits = Random(seed).getrandbits
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    rng.shuffle(pairs)
-    target = rng.randint(0, n * max_degree // 2)
+    _shuffle(getrandbits, pairs)
+    target = _below(getrandbits, n * max_degree // 2 + 1)
     deg = {v: 0 for v in range(1, n + 1)}
     chosen = set()
     for u, v in pairs:

@@ -181,16 +181,17 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
     exhaust their lists and stay unmatched when nobody acceptable remains.
     """
     proposers = sorted(a for a in truth.ranking if a.side == proposing)
-    ranks = truth.ranks
+    ranking, ranks = truth.ranking, truth.ranks
     engaged: dict[Agent, Agent] = {}
-    next_choice = {p: 0 for p in proposers}
+    next_choice = dict.fromkeys(proposers, 0)
     free = deque(proposers)
     while free:
         p = free.popleft()
-        prefs = truth.ranking[p]
-        while next_choice[p] < len(prefs):
-            c = prefs[next_choice[p]]
-            next_choice[p] += 1
+        prefs = ranking[p]
+        i = next_choice[p]
+        while i < len(prefs):
+            c = prefs[i]
+            i += 1
             ranks_c = ranks(c)
             if p not in ranks_c:
                 continue
@@ -202,6 +203,7 @@ def gale_shapley(truth: StrictProfile, proposing: str = MAN) -> Matching:
                 engaged[c] = p
                 free.append(holder)
                 break
+        next_choice[p] = i
     return Matching([(p, c) for c, p in engaged.items()])
 
 

@@ -6,7 +6,7 @@ from random import Random
 from hypothesis import strategies as st
 
 from interviewplan.blockers import BlockerReport, PotentialBlocker, analyze_blockers, is_resolved
-from interviewplan.generators import _random_mutual, _random_partition
+from interviewplan.generators import SimpleGraph, _random_mutual
 from interviewplan.interviews import apply_interviews, interview_cost
 from interviewplan.model import (
     MAN,
@@ -69,10 +69,24 @@ def all_2x2_markets():
                 yield inst, truth
 
 
+def reference_partition(rng, items, cap):
+    """The items shuffled, then cut into classes of ``rng.randint(1, cap)``
+    members, fewer at the end, drawn by ``Random``'s own methods."""
+    pool = list(items)
+    rng.shuffle(pool)
+    out = []
+    while pool:
+        size = rng.randint(1, min(cap, len(pool)))
+        out.append(pool[:size])
+        pool = pool[size:]
+    return out
+
+
 def reference_generate(family, *, n, seed, tiers=None, tie_cap=3, density=1.0):
     """Reference for ``generate`` on valid parameters: the same class lists
-    from the same random stream, then a ``tie_relation`` built for every
-    agent and a shuffle of every class, one-member classes included."""
+    from the same random stream, drawn by ``Random.shuffle`` and
+    ``Random.randint``, then a ``tie_relation`` built for every agent and a
+    shuffle of every class, one-member classes included."""
     rng = Random(seed)
     men_list = [man(i) for i in range(1, n + 1)]
     women_list = [woman(j) for j in range(1, n + 1)]
@@ -85,8 +99,8 @@ def reference_generate(family, *, n, seed, tiers=None, tie_cap=3, density=1.0):
         classes = {a: men_classes for a in men_list}
         classes.update({a: women_classes for a in women_list})
     elif family == "master_ties":
-        men_classes = _random_partition(rng, women_list, tie_cap)
-        women_classes = _random_partition(rng, men_list, tie_cap)
+        men_classes = reference_partition(rng, women_list, tie_cap)
+        women_classes = reference_partition(rng, men_list, tie_cap)
         classes = {a: men_classes for a in men_list}
         classes.update({a: women_classes for a in women_list})
     else:
@@ -98,7 +112,7 @@ def reference_generate(family, *, n, seed, tiers=None, tie_cap=3, density=1.0):
                 rng.shuffle(mine)
                 classes[a] = [[c] for c in mine]
             else:
-                classes[a] = _random_partition(rng, mine, tie_cap)
+                classes[a] = reference_partition(rng, mine, tie_cap)
     rels, ranking = {}, {}
     for a in men_list + women_list:
         rels[a] = tie_relation(a, classes[a])
@@ -109,6 +123,25 @@ def reference_generate(family, *, n, seed, tiers=None, tie_cap=3, density=1.0):
             order.extend(members)
         ranking[a] = tuple(order)
     return Instance(n, n, rels), StrictProfile(ranking)
+
+
+def reference_bounded_graph(n, max_degree, seed):
+    """Reference for ``random_bounded_graph``: the same greedy pass over
+    the pairs, shuffled and counted by ``Random``'s own methods."""
+    rng = Random(seed)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    rng.shuffle(pairs)
+    target = rng.randint(0, n * max_degree // 2)
+    deg = dict.fromkeys(range(1, n + 1), 0)
+    chosen = set()
+    for u, v in pairs:
+        if len(chosen) == target:
+            break
+        if deg[u] < max_degree and deg[v] < max_degree:
+            chosen.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    return SimpleGraph(n, frozenset(chosen))
 
 
 def edge_twin(instance):

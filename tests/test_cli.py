@@ -401,6 +401,38 @@ class TestBench:
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path, monkeypatch):
+    built, build_parser = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ("bench", "--family", "master-ties", "--n", "6", "--trials", "3",
+                "--seed", "2", "--omit-runtime")
+        assert run(capsys, *argv, "--out", str(a))[0] == 0
+        code, _, err = run(capsys, "bench", "--family", "tiered", "--n", "4",
+                           "--tiers", "2,x")
+        assert code == 2 and err.startswith("error: --tiers")
+        with pytest.raises(SystemExit) as exit_:
+            main(["--version"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == interviewplan.__version__ + "\n"
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "--family", "no-such-family"])
+        assert exit_.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *argv, "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_module_entry_point_runs():
     # the child imports the same package as this process, installed or not
     src = str(Path(interviewplan.__file__).resolve().parents[1])

@@ -1,7 +1,8 @@
 import pickle
+from random import Random
 
 import pytest
-from helpers import reference_generate
+from helpers import reference_bounded_graph, reference_generate
 
 from interviewplan import generators
 from interviewplan.errors import BadParams, DegreeTooHigh, SizeLimitExceeded
@@ -224,14 +225,16 @@ class TestSharedRelations:
         # one relation per distinct class list and no shuffle of a
         # one-member class draw the same random stream as a tie_relation
         # per agent and a shuffle per class
-        params = [dict(family=family, seed=seed, tie_cap=tie_cap, density=density)
+        params = [dict(family=family, n=7, seed=seed, tie_cap=tie_cap, density=density)
                   for family in FAMILIES for seed in range(5)
                   for tie_cap in (1, 3, 8) for density in (0.3, 1.0)]
-        params += [dict(family="tiered", seed=seed, tiers=tiers)
+        params += [dict(family="tiered", n=7, seed=seed, tiers=tiers)
                    for seed in range(5) for tiers in ([7], [3, 4], [1, 2, 4], [1] * 7)]
+        # the benchmark's size, one market per family
+        params += [dict(family=family, n=50, seed=11, density=0.5) for family in FAMILIES]
         for kwargs in params:
-            inst, truth = generate(n=7, **kwargs)
-            ref_inst, ref_truth = reference_generate(n=7, **kwargs)
+            inst, truth = generate(**kwargs)
+            ref_inst, ref_truth = reference_generate(**kwargs)
             assert inst == ref_inst, kwargs
             assert truth.ranking == ref_truth.ranking, kwargs
             assert all(rel.owner == a for a, rel in inst.relations.items()), kwargs
@@ -259,6 +262,36 @@ class TestSharedRelations:
             assert (again.cost, again.interviews, again.breakdown, again.structure) == \
                 (plan.cost, plan.interviews, plan.breakdown, plan.structure)
             assert again.refined == plan.refined
+
+
+class TestDraws:
+    """The generators draw through getrandbits alone; these pin every draw
+    to the one the stdlib's Random methods make from the same state."""
+
+    def test_shuffle_draws_as_random_shuffle(self):
+        for seed in range(100):
+            ours, theirs = Random(seed), Random(seed)
+            for length in range(71):
+                mine, stdlib = list(range(length)), list(range(length))
+                generators._shuffle(ours.getrandbits, mine)
+                theirs.shuffle(stdlib)
+                assert mine == stdlib, (seed, length)
+                assert ours.getstate() == theirs.getstate(), (seed, length)
+
+    def test_below_draws_as_random_randint(self):
+        for seed in range(100):
+            ours, theirs = Random(seed), Random(seed)
+            for low in (0, 1):
+                for high in range(low, low + 70):
+                    drawn = low + generators._below(ours.getrandbits, high - low + 1)
+                    assert drawn == theirs.randint(low, high), (seed, low, high)
+                    assert ours.getstate() == theirs.getstate(), (seed, low, high)
+
+    def test_random_bounded_graph_draws_as_the_stdlib_reference(self):
+        for n in range(1, 61):
+            for seed in range(10):
+                assert (random_bounded_graph(n, 3, seed)
+                        == reference_bounded_graph(n, 3, seed)), (n, seed)
 
 
 class TestGraphEnumeration:
