@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 from typing import Callable, Iterable
 
@@ -253,9 +254,12 @@ def generate(family: str, *, n: int, seed: int, tiers: Iterable[int] | None = No
         classes.update({a: women_classes for a in women_list})
     else:
         acceptable = _random_mutual(rng, men_list, women_list, density)
+        by_index = itemgetter(1)
         classes = {}
         for a in men_list + women_list:
-            mine = sorted(acceptable[a])
+            # every candidate is on one side, so their indices order them
+            # as the agents do, at a third of the cost of comparing tuples
+            mine = sorted(acceptable[a], key=by_index)
             if family == "one_side_strict" and a.side == WOMAN:
                 _shuffle(getrandbits, mine)
                 classes[a] = [[c] for c in mine]

@@ -13,6 +13,12 @@ comparisons: closing the union could manufacture comparisons between
 candidates an agent never met.  Base instances, by contrast, are required
 to be genuine partial orders.
 
+Each relation also keeps one index of its classes, built with it: the
+acceptable candidates some class holds, in class order, and how many of
+them lie at or before each class.  The candidates a matched owner leaves
+open are then a prefix or a suffix of that order, one slice, whatever the
+number of classes after its partner's.
+
 Ordered indifference classes (ties) have one home here: :func:`tie_relation`
 builds a relation from classes without building edges,
 :func:`agent_tie_structure` returns the stored classes tuple or recovers one
@@ -78,6 +84,9 @@ _NO_VIEW: Mapping[Agent, int] = MappingProxyType({})
 # relation that met no one, shared and never written; a plain dict, unlike
 # _NO_VIEW, so that every relation pickles
 _NO_RANKS: Mapping[Agent, int] = {}
+# the unclassed part of a relation whose classes hold every acceptable
+# candidate, shared
+_NOBODY: frozenset[Agent] = frozenset()
 
 
 class Relation:
@@ -88,8 +97,9 @@ class Relation:
     The comparisons are stored in three parts:
 
     - ``classes``: ordered indifference classes, best first, with ``level``
-      mapping each of their candidates to its class index.  Every candidate
-      beats everyone in a later class; a class is tied inside.
+      mapping each of their candidates to the index of the last class that
+      holds it.  Every candidate beats everyone in a later class; a class
+      is tied inside.
     - ``met``: the learned order, the candidates the agent ranked by
       interview as one tuple in true order, best first, with ``rank``
       mapping each of them to its position.  Every met candidate beats
@@ -101,6 +111,17 @@ class Relation:
     the other parts are keyword-only, shared and never written, and a
     ``met`` order passed without its ``rank`` map gets one built.
 
+    Every relation also holds one index of its classes, derived from them
+    and built with the relation, which :meth:`open_to` and
+    :meth:`StrictProfile.refines` read: the triple ``_index`` of the
+    acceptable candidates some class holds, each once, at the last class
+    holding it, in class order; how many of them lie at or before each
+    class; and the acceptable candidates no class holds, the shared empty
+    set for a class-built relation and the acceptable set itself for an
+    edge-built one.  :func:`tie_relation` builds it from the classes it
+    walks, :meth:`learn` and :meth:`owned_by` share their own, and the
+    constructor derives it from ``classes`` when ``index`` is not given.
+
     ``edges``, the set of all comparisons, is derived on every read: it
     costs O(d²) for a class-built or learned relation over d candidates, so
     a reader that loops over it binds it once.  :meth:`prefers` and
@@ -110,18 +131,20 @@ class Relation:
     are immutable values.
     """
 
-    __slots__ = ("owner", "acceptable", "classes", "level", "extra", "met", "rank")
+    __slots__ = ("owner", "acceptable", "classes", "level", "extra", "met", "rank", "_index")
 
     def __init__(self, owner: Agent, acceptable: frozenset[Agent],
                  edges: frozenset[Pair] = frozenset(), *,
                  classes: tuple[frozenset[Agent], ...] = (),
                  level: Mapping[Agent, int] = _NO_RANKS, met: tuple[Agent, ...] = (),
-                 rank: Optional[Mapping[Agent, int]] = None):
+                 rank: Optional[Mapping[Agent, int]] = None,
+                 index: Optional[_ClassIndex] = None):
         self.owner, self.acceptable, self.extra = owner, acceptable, edges
         self.classes, self.level, self.met = classes, level, met
         if rank is None:
             rank = dict(zip(met, range(len(met)))) if met else _NO_RANKS
         self.rank = rank
+        self._index = _class_index(acceptable, classes) if index is None else index
 
     @property
     def edges(self) -> frozenset[Pair]:
@@ -156,13 +179,29 @@ class Relation:
         in a later class, not met and ranked after the partner, and not below
         it by an ``extra`` edge, tested per candidate so that an edge-built
         relation is never expanded.  A pair very weakly blocks a matching
-        exactly when each member is open to the other."""
+        exactly when each member is open to the other.
+
+        The candidates no later class holds are one slice of the class
+        index, whichever is shorter: the indexed ones up to the end of the
+        partner's class plus the unclassed ones, or the acceptable set less
+        the indexed ones after it.  An unclassed partner cuts after the last
+        class."""
         if partner is None:
             return self.acceptable
-        at, rank = self.level.get(partner), self.rank.get(partner)
-        later = self.classes[at + 1:] if at is not None else ()
-        met_after = self.met[rank + 1:] if rank is not None else ()
-        out = self.acceptable.difference((partner,), met_after, *later)
+        order, ends, unclassed = self._index
+        at = self.level.get(partner)
+        cut = len(order) if at is None else ends[at]
+        if cut + cut <= len(order):
+            out = set(order[:cut])
+            if unclassed:
+                out.update(unclassed)
+        else:
+            out = set(self.acceptable)
+            out.difference_update(order[cut:])
+        out.discard(partner)
+        rank = self.rank.get(partner)
+        if rank is not None:
+            out.difference_update(self.met[rank + 1:])
         extra = self.extra
         if extra:
             return {c for c in out if (partner, c) not in extra}
@@ -187,16 +226,16 @@ class Relation:
             extra = self.extra.union(itertools.combinations(self.met, 2),
                                      itertools.combinations(met, 2))
             return Relation(self.owner, self.acceptable, extra,
-                            classes=self.classes, level=self.level)
-        return Relation(self.owner, self.acceptable, self.extra,
-                        classes=self.classes, level=self.level, met=met, rank=rank)
+                            classes=self.classes, level=self.level, index=self._index)
+        return Relation(self.owner, self.acceptable, self.extra, classes=self.classes,
+                        level=self.level, met=met, rank=rank, index=self._index)
 
     def owned_by(self, owner: Agent) -> Relation:
         """This relation held by ``owner``: the same candidates and
         comparisons, sharing every stored part, so agents who rank the same
         classes share one copy of them."""
         return Relation(owner, self.acceptable, self.extra, classes=self.classes,
-                        level=self.level, met=self.met, rank=self.rank)
+                        level=self.level, met=self.met, rank=self.rank, index=self._index)
 
     def restricted(self, keep: frozenset[Agent]) -> Relation:
         """This relation over the candidates in ``keep`` only."""
@@ -227,6 +266,28 @@ class Relation:
     def __repr__(self):
         return (f"Relation(owner={self.owner!r}, acceptable={self.acceptable!r}, "
                 f"edges={self.edges!r})")
+
+
+_ClassIndex = tuple[tuple[Agent, ...], tuple[int, ...], frozenset[Agent]]
+
+
+def _class_index(acceptable: frozenset[Agent],
+                 classes: tuple[frozenset[Agent], ...]) -> _ClassIndex:
+    """The class index of ``classes`` over ``acceptable``, derived from the
+    classes alone: each acceptable candidate a class holds goes at the last
+    class holding it, so the index up to a class is exactly the acceptable
+    candidates no later class holds, also where classes are partial, reach
+    outside ``acceptable`` or overlap."""
+    if not classes:
+        return (), (), acceptable
+    last = {c: i for i, cls in enumerate(classes) for c in cls}
+    held: list[list[Agent]] = [[] for _ in classes]
+    for c, i in last.items():
+        if c in acceptable:
+            held[i].append(c)
+    order = tuple(itertools.chain.from_iterable(held))
+    unclassed = acceptable.difference(last) if len(order) < len(acceptable) else _NOBODY
+    return order, tuple(itertools.accumulate(map(len, held))), unclassed
 
 
 def relation(owner: Agent, acceptable: Iterable[Agent], edges: Iterable[Pair] = ()) -> Relation:
@@ -344,10 +405,18 @@ def tie_relation(owner: Agent, classes: Iterable[Iterable[Agent]]) -> Relation:
     """The relation of an agent who ranks the given disjoint indifference
     classes best first: every candidate is acceptable, each class is tied,
     and every candidate beats everyone in later classes.  Stores the
-    non-empty classes and their levels; builds no edge set."""
-    kept = tuple(cls for cls in map(frozenset, classes) if cls)
+    non-empty classes and their levels; builds no edge set.  The class
+    index of disjoint classes is the classes laid end to end, which the
+    level map's keys already are, so it costs no hashing; overlapping
+    ones have it derived.  A single class is itself the acceptable set."""
+    kept = tuple(filter(None, map(frozenset, classes)))
     level = {c: i for i, cls in enumerate(kept) for c in cls}
-    return Relation(owner, frozenset(level), classes=kept, level=level)
+    ends = tuple(itertools.accumulate(map(len, kept)))
+    index = None
+    if not ends or ends[-1] == len(level):
+        index = tuple(level), ends, _NOBODY
+    acceptable = kept[0] if len(kept) == 1 else frozenset(level)
+    return Relation(owner, acceptable, classes=kept, level=level, index=index)
 
 
 # an agent that met fewer than a third of the candidates it ranks has
@@ -411,7 +480,11 @@ class StrictProfile:
         The classes are checked in one walk down the agent's true order:
         the class levels met along it never decrease, and it meets every
         classed candidate.  When the agent has as many classed candidates
-        as it ranks, the walk reads a level for every one of them.
+        as it ranks, the walk reads a level for every one of them.  When it
+        also has as many levels as indexed candidates as acceptable ones,
+        its classes hold exactly the acceptable set, so the walk has shown
+        that the ranking lies inside that set; a ranking as long as the set
+        with no repeat then covers it, and the pass over the set is skipped.
 
         The last instance accepted is remembered by identity (the
         ``_refined`` slot) and accepted again in O(1), so a solve that checks
@@ -423,12 +496,15 @@ class StrictProfile:
         for a, rel in instance.relations.items():
             seq = self.ranking.get(a, ())
             ranks = self._rank.get(a, _NO_VIEW)
-            # a ranking as long as the acceptable set that ranks all of it
-            # ranks nothing else and nothing twice; a class may still hold
-            # a candidate outside the acceptable set
-            if not (len(seq) == len(rel.acceptable) and rel.acceptable.issubset(ranks)):
+            acceptable, level = rel.acceptable, rel.level
+            # a ranking as long as the acceptable set, with no repeat, that
+            # ranks all of it ranks nothing else; a class may still hold a
+            # candidate outside the acceptable set
+            if not len(seq) == len(ranks) == len(acceptable):
                 return False
-            level = rel.level
+            if not (len(level) == len(rel._index[0]) == len(acceptable)
+                    or acceptable.issubset(ranks)):
+                return False
             if level:
                 if len(level) == len(seq):
                     try:

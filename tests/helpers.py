@@ -615,6 +615,58 @@ def reference_refines(truth, instance):
     return True
 
 
+def two_pass_refines(truth, instance):
+    """Reference for :meth:`StrictProfile.refines`: the check as it stood
+    before the class index, which always made its second pass over the
+    acceptable set to see that the ranking covers it."""
+    for a, rel in instance.relations.items():
+        seq = truth.acceptable(a)
+        ranks = truth.ranks(a)
+        if not (len(seq) == len(rel.acceptable) and rel.acceptable.issubset(ranks)):
+            return False
+        level = rel.level
+        if level:
+            if len(level) == len(seq):
+                try:
+                    along = list(map(level.__getitem__, seq))
+                except KeyError:
+                    return False
+            else:
+                along = [at for at in map(level.get, seq) if at is not None]
+                if len(along) != len(level):
+                    return False
+            if along != sorted(along):
+                return False
+        try:
+            for c1, c2 in rel.extra:
+                if ranks[c1] > ranks[c2]:
+                    return False
+            met = rel.met
+            if met and any(ranks[c1] > ranks[c2] for c1, c2 in zip(met, met[1:])):
+                return False
+        except KeyError:
+            return False
+    return True
+
+
+def reference_open(rel, partner):
+    """Reference for :meth:`Relation.open_to`, one candidate at a time: the
+    acceptable candidates other than the partner that no class after the
+    partner's holds, that were not met after it and that no ``extra`` edge
+    puts below it; every acceptable one when unmatched."""
+    if partner is None:
+        return set(rel.acceptable)
+    at = rel.level.get(partner)
+    later = rel.classes[at + 1:] if at is not None else ()
+    rank = rel.rank.get(partner)
+    met_after = rel.met[rank + 1:] if rank is not None else ()
+    return {c for c in rel.acceptable
+            if c != partner
+            and not any(c in cls for cls in later)
+            and c not in met_after
+            and (partner, c) not in rel.extra}
+
+
 def draw_partial_matching(draw, instance):
     """A random partial matching over the instance's mutually acceptable
     pairs."""

@@ -241,7 +241,7 @@ class TestSharedRelations:
 
     def test_shared_families_share_one_relation_per_side(self):
         for family, kwargs in (("master_ties", {}), ("tiered", {"tiers": [2, 3, 4]})):
-            inst, _ = generate(family, n=9, seed=1, **kwargs)
+            inst, truth = generate(family, n=9, seed=1, **kwargs)
             for side in (inst.men(), inst.women()):
                 shared = inst.relations[side[0]]
                 for a in side:
@@ -249,6 +249,15 @@ class TestSharedRelations:
                     assert rel.owner == a
                     assert rel.classes is shared.classes and rel.level is shared.level
                     assert rel.acceptable is shared.acceptable
+                    assert rel._index is shared._index
+            # so does every agent that learned by interview
+            refined = plan_for_matching(inst, truth, gale_shapley(truth, MAN)).refined
+            learners = [a for a in inst.agents() if refined.relations[a].met]
+            assert learners
+            for a in learners:
+                rel, base = refined.relations[a], inst.relations[a]
+                assert rel.classes is base.classes and rel.level is base.level
+                assert rel._index is base._index
 
     def test_shared_relations_survive_a_pickle_round_trip(self):
         inst, truth = generate("master_ties", n=12, seed=3)
@@ -262,6 +271,15 @@ class TestSharedRelations:
             assert (again.cost, again.interviews, again.breakdown, again.structure) == \
                 (plan.cost, plan.interviews, plan.breakdown, plan.structure)
             assert again.refined == plan.refined
+            # the refined state pickles with its class indexes, which still
+            # give every open set
+            refined = pickle.loads(pickle.dumps(plan.refined))
+            assert refined == plan.refined
+            for a, rel in plan.refined.relations.items():
+                twin = refined.relations[a]
+                assert twin._index == rel._index
+                assert all(twin.open_to(p) == rel.open_to(p)
+                           for p in (None, *sorted(rel.acceptable)))
 
 
 class TestDraws:

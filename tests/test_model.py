@@ -2,7 +2,7 @@ import itertools
 import pickle
 
 import pytest
-from helpers import class_markets, edge_twin, full_validate, reference_refines
+from helpers import class_markets, edge_twin, full_validate, reference_refines, two_pass_refines
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -417,6 +417,101 @@ class TestStrictProfile:
         ranking[man(1)] = tuple(seq)
         truth = StrictProfile(ranking)
         assert truth.refines(inst) == reference_refines(truth, inst)
+
+
+MUTATIONS = ("none", "repeat", "missing", "extra", "outsider", "inversion", "met_against",
+             "extra_against")
+
+
+@st.composite
+def refines_cases(draw):
+    """Man 1's relation over some of four women, as exact disjoint classes
+    of the acceptable set or as partial, outside or overlapping ones, maybe
+    learned, and a truth that sorts its candidates by class; then maybe one
+    mutation: a repeated, missing, extra or outside candidate in the truth,
+    two of its places swapped, or a met order or ``extra`` edge against
+    it."""
+    acceptable = sorted(draw(st.sets(st.sampled_from(CANDIDATES[:4]), min_size=1)))
+    shape = draw(st.sampled_from(("exact", "partial", "outside", "overlap")))
+    if shape == "overlap":
+        classes = [[c for c in acceptable if draw(st.booleans())]
+                   for _ in range(draw(st.integers(0, 4)))]
+    else:
+        pool = acceptable if shape == "exact" else [
+            c for c in (CANDIDATES if shape == "outside" else acceptable) if draw(st.booleans())]
+        pool = draw(st.permutations(pool))
+        cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=4)))
+        bounds = [0] + cuts + [len(pool)]
+        classes = [pool[i:j] for i, j in zip(bounds, bounds[1:])]
+    rel = (tie_relation(man(1), classes) if shape == "exact"
+           else classed(man(1), acceptable, classes))
+    # the truth sorts by level, an unclassed candidate anywhere among them
+    keys = {c: (rel.level.get(c, draw(st.integers(-1, len(classes)))),
+                draw(st.integers(0, 9))) for c in acceptable}
+    seq = sorted(acceptable, key=keys.__getitem__)
+    if draw(st.booleans()):
+        rel = rel.learn([c for c in seq if draw(st.booleans())])
+    mutation = draw(st.sampled_from(MUTATIONS))
+    at = draw(st.integers(0, len(seq) - 1))
+    outside = sorted(set(CANDIDATES) - set(acceptable))
+    if mutation == "repeat" and len(seq) > 1:
+        seq[at] = draw(st.sampled_from(seq[:at] + seq[at + 1:]))
+    elif mutation == "missing":
+        del seq[at]
+    elif mutation == "extra":
+        seq.insert(at, draw(st.sampled_from(outside)))
+    elif mutation == "outsider":
+        # ranked, but outside the acceptable set and outside every class
+        free = [c for c in outside if c not in rel.level] or outside
+        seq[at] = draw(st.sampled_from(free))
+    elif mutation == "inversion" and len(seq) > 1:
+        j = draw(st.integers(0, len(seq) - 1))
+        seq[at], seq[j] = seq[j], seq[at]
+    elif mutation in ("met_against", "extra_against") and len(seq) > 1:
+        j = draw(st.integers(0, len(seq) - 2))
+        worse, better = seq[j + 1], seq[j]
+        if mutation == "met_against":
+            rel = rel.learn([worse, better])
+        else:
+            rel = Relation(man(1), rel.acceptable, rel.extra | {(worse, better)},
+                           classes=rel.classes, level=rel.level, met=rel.met)
+    inst = one_man_market(rel, base=False)
+    truth = StrictProfile({man(1): tuple(seq), **{w: (man(1),) for w in CANDIDATES[:3]}})
+    return inst, truth, shape, mutation
+
+
+class TestRefinesAgainstTwoPass:
+    """:meth:`StrictProfile.refines` skips its pass over the acceptable set
+    when the class index shows the level walk covers it; it must still
+    answer as the check that always made that pass."""
+
+    @settings(max_examples=600)
+    @given(refines_cases())
+    def test_equals_two_pass_check(self, case):
+        inst, truth, _, _ = case
+        assert truth.refines(inst) == two_pass_refines(truth, inst)
+
+    def test_each_mutation_of_an_exact_partition_is_rejected(self):
+        w1, w2, w3 = CANDIDATES[:3]
+        rel = tie_relation(man(1), [[w1], [w2, w3]])
+        women = {w: (man(1),) for w in CANDIDATES[:3]}
+
+        def verdicts(seq, state=rel):
+            truth = StrictProfile({man(1): seq, **women})
+            inst = one_man_market(state, base=False)
+            return truth.refines(inst), two_pass_refines(truth, inst)
+
+        assert verdicts((w1, w3, w2)) == (True, True)
+        for seq in ((w1, w2, w2),              # a repeat, as long as the set
+                    (w1, w2),                  # a candidate missing
+                    (w1, w2, w3, CANDIDATES[3]),  # an extra candidate
+                    (w1, w2, CANDIDATES[3]),   # ranked outside every class
+                    (w2, w1, w3)):             # a class inversion
+            assert verdicts(seq) == (False, False), seq
+        assert verdicts((w1, w3, w2), rel.learn((w2, w3))) == (False, False)
+        against = Relation(man(1), rel.acceptable, frozenset({(w2, w3)}),
+                           classes=rel.classes, level=rel.level)
+        assert verdicts((w1, w3, w2), against) == (False, False)
 
 
 class TestRefinement:

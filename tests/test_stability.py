@@ -9,6 +9,7 @@ from helpers import (
     pair_list_scan,
     prefers_scan,
     reference_iter_matchings,
+    reference_open,
     spec_blocking_pairs,
 )
 from hypothesis import given, settings
@@ -270,6 +271,86 @@ class TestRowScan:
         relearned = _apply_unchecked(learned, truth, again)
         for state in (inst, learned, relearned):
             assert_rows_equal_pair_list(state, mu)
+
+
+@st.composite
+def any_relation(draw, owner, others):
+    """A relation over some of ``others`` in a shape the class index must
+    read as the classes do: built by ``tie_relation`` from disjoint or
+    overlapping classes, or held by the constructor with classes that are
+    partial, reach outside the acceptable set or overlap, or with none at
+    all, plus ``extra`` edges; then maybe restricted, and learned over zero,
+    one or two rounds."""
+    acceptable = [c for c in others if draw(st.booleans())]
+    shape = draw(st.sampled_from(("tie", "tie_overlap", "partial", "outside",
+                                  "overlap", "edges")))
+    if shape in ("tie", "partial", "outside"):
+        pool = {"tie": acceptable, "outside": others}.get(
+            shape, [c for c in acceptable if draw(st.booleans())])
+        pool = draw(st.permutations(pool))
+        cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=len(pool) + 1)))
+        bounds = [0] + cuts + [len(pool)]
+        classes = [pool[i:j] for i, j in zip(bounds, bounds[1:])]
+    else:
+        pool = acceptable if shape == "tie_overlap" else others
+        classes = [[c for c in pool if draw(st.booleans())]
+                   for _ in range(draw(st.integers(0, 4)))]
+    if shape in ("tie", "tie_overlap"):
+        rel = tie_relation(owner, classes)
+    else:
+        if shape == "edges":
+            classes = []
+        kept = tuple(frozenset(cls) for cls in classes if cls)
+        level = {c: i for i, cls in enumerate(kept) for c in cls}
+        extra = frozenset(p for p in itertools.permutations(others, 2)
+                          if draw(st.integers(0, 5)) == 0)
+        rel = Relation(owner, frozenset(acceptable), extra, classes=kept, level=level)
+    if draw(st.booleans()):
+        rel = rel.restricted(frozenset(c for c in rel.acceptable if draw(st.booleans())))
+    for _ in range(draw(st.integers(0, 2))):
+        rel = rel.learn(draw(st.permutations([c for c in rel.acceptable
+                                              if draw(st.booleans())])))
+    return rel
+
+
+@st.composite
+def indexed_markets(draw):
+    """Up to 4 agents per side, each holding :func:`any_relation` over the
+    other side and one agent beyond it, with a partial matching."""
+    n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    men = [man(i) for i in range(1, n_men + 1)]
+    women = [woman(j) for j in range(1, n_women + 1)]
+    rels = {a: draw(any_relation(a, others))
+            for a, others in [(m, women + [woman(n_women + 1)]) for m in men]
+            + [(w, men + [man(n_men + 1)]) for w in women]}
+    instance = Instance(n_men, n_women, rels, base=False)
+    return instance, draw_partial_matching(draw, instance)
+
+
+class TestOpenTo:
+    @settings(max_examples=250)
+    @given(indexed_markets())
+    def test_equals_per_candidate_reference(self, market):
+        # every partner an agent could hold: none, a classed or an unclassed
+        # acceptable candidate, and one outside its acceptable set
+        instance, mu = market
+        for a, rel in instance.relations.items():
+            others = instance.women() if a.side == "m" else instance.men()
+            for p in [None, *others, *rel.acceptable]:
+                assert set(rel.open_to(p)) == reference_open(rel, p), (a, p)
+        assert_rows_equal_pair_list(instance, mu)
+
+    def test_a_candidate_in_two_classes_counts_at_the_later(self):
+        # w1 is in the first and the last class, so no partner before the
+        # last class leaves it open, though a prefix of the classes holds it
+        w1, w2, w3, w4 = (woman(j) for j in range(1, 5))
+        for rel in (tie_relation(man(1), [[w1], [w2], [w3], [w4, w1]]),
+                    Relation(man(1), frozenset({w1, w2, w3, w4}),
+                             classes=tuple(map(frozenset, ([w1], [w2], [w3], [w4, w1]))),
+                             level={w1: 3, w2: 1, w3: 2, w4: 3})):
+            assert rel.open_to(w2) == set()
+            for p in (None, w1, w2, w3, w4):
+                assert set(rel.open_to(p)) == reference_open(rel, p), p
 
 
 class TestIsStable:
