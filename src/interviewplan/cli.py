@@ -412,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refined")
     p.add_argument("--truth")
     p.add_argument("--matching")
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=int, default=8,
+                   help="most agents per side for the super-stable search of --refined "
+                        "without --matching (0 skips it on any non-empty market)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("solve", help="compute an optimal interview schedule")
@@ -422,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-icr", action="store_true",
                    help="minimize over all admissible target matchings")
     p.add_argument("--oracle-verify", action="store_true")
-    p.add_argument("--cap", type=int, default=8)
+    p.add_argument("--cap", type=int, default=8,
+                   help="most agents per side for the stable-matching screen of "
+                        "--min-icr (0 refuses any non-empty market)")
     p.add_argument("--out", help="certificate output path")
     p.set_defaults(func=cmd_solve)
 
@@ -433,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-icr", action="store_true")
     p.add_argument("--mode", choices=("pure", "pruned"), default="pruned")
     p.add_argument("--cap", type=int, default=0,
-                   help="override the pair cap (0 keeps the default)")
+                   help="most acceptable pairs the search runs on (0 keeps the default)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("bench", help="run seeded sweeps, write CSV")
@@ -447,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep all connected max-degree-3 graphs up to this size")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=0)
+    p.add_argument("--cap", type=int, default=0,
+                   help="most acceptable pairs the oracle_cost search runs on, blank "
+                        "above it (0 keeps the default)")
     p.add_argument("--omit-runtime", action="store_true",
                    help="blank the runtime column for byte-reproducible CSVs")
     p.add_argument("--out", help="CSV path (default: stdout)")
@@ -466,6 +472,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise BadParams(f"--cap takes a count of 0 or more, not {args.cap}")
         return args.func(args)
     except (ParseError, BadParams) as err:
         print(f"error: {err}", file=sys.stderr)

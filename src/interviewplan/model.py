@@ -2,25 +2,20 @@
 
 An instance holds, per agent, the set of acceptable candidates on the other
 side of the market together with the comparisons the agent can currently
-make.  A :class:`Relation` stores them as ordered indifference classes with
-a level per candidate, plus any explicit edges (preferred, other) beyond
-the classes; its full edge set is a view derived on each read.  A refined
-knowledge state produced by interviews keeps the base classes and adds the
-learned order: the candidates the agent met, in true order, with a rank per
-candidate.  That order is closed over the candidates met and says nothing
-about anyone else, so nothing is inferred by transitivity through the base
+make.  A :class:`Relation` stores them as ordered indifference classes,
+empty or a partition of the acceptable set, with a level per candidate,
+plus any explicit edges (preferred, other) beyond the classes; its full
+edge set is a view derived on each read.  A refined knowledge state
+produced by interviews keeps the base classes and adds the learned order:
+the candidates the agent met, in true order, with a rank per candidate.
+That order is closed over the candidates met and says nothing about
+anyone else, so nothing is inferred by transitivity through the base
 comparisons: closing the union could manufacture comparisons between
 candidates an agent never met.  Base instances, by contrast, are required
 to be genuine partial orders.
 
-Each relation also keeps one index of its classes, built with it: the
-acceptable candidates some class holds, in class order, and how many of
-them lie at or before each class.  The candidates a matched owner leaves
-open are then a prefix or a suffix of that order, one slice, whatever the
-number of classes after its partner's.
-
 Ordered indifference classes (ties) have one home here: :func:`tie_relation`
-builds a relation from classes without building edges,
+is the only builder of classes, and builds no edges,
 :func:`agent_tie_structure` returns the stored classes tuple or recovers one
 from the edges in O(edges) by grouping candidates by in-degree, and
 :func:`detect_tie_structure` maps every agent of an instance to its classes.
@@ -84,9 +79,6 @@ _NO_VIEW: Mapping[Agent, int] = MappingProxyType({})
 # relation that met no one, shared and never written; a plain dict, unlike
 # _NO_VIEW, so that every relation pickles
 _NO_RANKS: Mapping[Agent, int] = {}
-# the unclassed part of a relation whose classes hold every acceptable
-# candidate, shared
-_NOBODY: frozenset[Agent] = frozenset()
 
 
 class Relation:
@@ -96,10 +88,10 @@ class Relation:
     ``c2``; with neither direction present the owner cannot compare the two.
     The comparisons are stored in three parts:
 
-    - ``classes``: ordered indifference classes, best first, with ``level``
-      mapping each of their candidates to the index of the last class that
-      holds it.  Every candidate beats everyone in a later class; a class
-      is tied inside.
+    - ``classes``: ordered indifference classes, best first, empty or a
+      partition of ``acceptable``, with ``level`` mapping each acceptable
+      candidate to the index of its class.  Every candidate beats everyone
+      in a later class; a class is tied inside.
     - ``met``: the learned order, the candidates the agent ranked by
       interview as one tuple in true order, best first, with ``rank``
       mapping each of them to its position.  Every met candidate beats
@@ -107,20 +99,13 @@ class Relation:
     - ``extra``: explicit comparisons beyond the classes and the met order.
 
     The constructor is the one way to build a relation:
-    ``Relation(owner, acceptable, edges)`` stores the edges as ``extra``,
-    the other parts are keyword-only, shared and never written, and a
-    ``met`` order passed without its ``rank`` map gets one built.
-
-    Every relation also holds one index of its classes, derived from them
-    and built with the relation, which :meth:`open_to` and
-    :meth:`StrictProfile.refines` read: the triple ``_index`` of the
-    acceptable candidates some class holds, each once, at the last class
-    holding it, in class order; how many of them lie at or before each
-    class; and the acceptable candidates no class holds, the shared empty
-    set for a class-built relation and the acceptable set itself for an
-    edge-built one.  :func:`tie_relation` builds it from the classes it
-    walks, :meth:`learn` and :meth:`owned_by` share their own, and the
-    constructor derives it from ``classes`` when ``index`` is not given.
+    ``Relation(owner, acceptable, edges)`` stores the edges as ``extra``;
+    the other parts are keyword-only, shared and never written.  ``ties``
+    takes the classes, levels and private class index ``_index`` (the
+    classes laid end to end, and how many candidates lie at or before each)
+    of a relation over the same acceptable set, and raises ``ValueError``
+    otherwise; :func:`tie_relation` alone makes them.  A ``met`` order
+    passed without its ``rank`` map gets one built.
 
     ``edges``, the set of all comparisons, is derived on every read: it
     costs O(d²) for a class-built or learned relation over d candidates, so
@@ -134,17 +119,19 @@ class Relation:
     __slots__ = ("owner", "acceptable", "classes", "level", "extra", "met", "rank", "_index")
 
     def __init__(self, owner: Agent, acceptable: frozenset[Agent],
-                 edges: frozenset[Pair] = frozenset(), *,
-                 classes: tuple[frozenset[Agent], ...] = (),
-                 level: Mapping[Agent, int] = _NO_RANKS, met: tuple[Agent, ...] = (),
-                 rank: Optional[Mapping[Agent, int]] = None,
-                 index: Optional[_ClassIndex] = None):
-        self.owner, self.acceptable, self.extra = owner, acceptable, edges
-        self.classes, self.level, self.met = classes, level, met
+                 edges: frozenset[Pair] = frozenset(), *, ties: Optional[Relation] = None,
+                 met: tuple[Agent, ...] = (), rank: Optional[Mapping[Agent, int]] = None):
+        self.owner, self.acceptable, self.extra, self.met = owner, acceptable, edges, met
+        if ties is None:
+            self.classes, self.level, self._index = (), _NO_RANKS, ((), ())
+        elif ties.acceptable is acceptable or ties.acceptable == acceptable:
+            self.classes, self.level, self._index = ties.classes, ties.level, ties._index
+        else:
+            raise ValueError(f"the classes of {ties.owner} do not partition "
+                             f"the acceptable set of {owner}")
         if rank is None:
             rank = dict(zip(met, range(len(met)))) if met else _NO_RANKS
         self.rank = rank
-        self._index = _class_index(acceptable, classes) if index is None else index
 
     @property
     def edges(self) -> frozenset[Pair]:
@@ -181,23 +168,23 @@ class Relation:
         relation is never expanded.  A pair very weakly blocks a matching
         exactly when each member is open to the other.
 
-        The candidates no later class holds are one slice of the class
-        index, whichever is shorter: the indexed ones up to the end of the
-        partner's class plus the unclassed ones, or the acceptable set less
-        the indexed ones after it.  An unclassed partner cuts after the last
-        class."""
+        The candidates in no later class are whichever slice of the class
+        index is shorter: the classes up to the partner's, or the acceptable
+        set less the classes after it.  A partner with no level keeps the
+        whole set."""
         if partner is None:
             return self.acceptable
-        order, ends, unclassed = self._index
         at = self.level.get(partner)
-        cut = len(order) if at is None else ends[at]
-        if cut + cut <= len(order):
-            out = set(order[:cut])
-            if unclassed:
-                out.update(unclassed)
-        else:
+        if at is None:
             out = set(self.acceptable)
-            out.difference_update(order[cut:])
+        else:
+            order, ends = self._index
+            cut = ends[at]
+            if cut + cut <= len(order):
+                out = set(order[:cut])
+            else:
+                out = set(self.acceptable)
+                out.difference_update(order[cut:])
         out.discard(partner)
         rank = self.rank.get(partner)
         if rank is not None:
@@ -225,25 +212,24 @@ class Relation:
         if self.met:
             extra = self.extra.union(itertools.combinations(self.met, 2),
                                      itertools.combinations(met, 2))
-            return Relation(self.owner, self.acceptable, extra,
-                            classes=self.classes, level=self.level, index=self._index)
-        return Relation(self.owner, self.acceptable, self.extra, classes=self.classes,
-                        level=self.level, met=met, rank=rank, index=self._index)
+            return Relation(self.owner, self.acceptable, extra, ties=self)
+        return Relation(self.owner, self.acceptable, self.extra, ties=self, met=met, rank=rank)
 
     def owned_by(self, owner: Agent) -> Relation:
         """This relation held by ``owner``: the same candidates and
         comparisons, sharing every stored part, so agents who rank the same
         classes share one copy of them."""
-        return Relation(owner, self.acceptable, self.extra, classes=self.classes,
-                        level=self.level, met=self.met, rank=self.rank, index=self._index)
+        return Relation(owner, self.acceptable, self.extra, ties=self, met=self.met,
+                        rank=self.rank)
 
     def restricted(self, keep: frozenset[Agent]) -> Relation:
-        """This relation over the candidates in ``keep`` only."""
+        """This relation over the candidates in ``keep`` only, which must lie
+        within the acceptable set."""
         extra = frozenset((c1, c2) for c1, c2 in self.extra if c1 in keep and c2 in keep)
-        ties = tie_relation(self.owner, (cls & keep for cls in self.classes))
+        ties = (tie_relation(self.owner, (cls & keep for cls in self.classes))
+                if self.classes else None)
         met = tuple(c for c in self.met if c in keep)
-        return Relation(self.owner, keep, extra, classes=ties.classes, level=ties.level,
-                        met=met)
+        return Relation(self.owner, keep, extra, ties=ties, met=met)
 
     def gains_over(self, base: Relation) -> frozenset[Pair]:
         """The comparisons of this relation that ``base`` lacks."""
@@ -266,28 +252,6 @@ class Relation:
     def __repr__(self):
         return (f"Relation(owner={self.owner!r}, acceptable={self.acceptable!r}, "
                 f"edges={self.edges!r})")
-
-
-_ClassIndex = tuple[tuple[Agent, ...], tuple[int, ...], frozenset[Agent]]
-
-
-def _class_index(acceptable: frozenset[Agent],
-                 classes: tuple[frozenset[Agent], ...]) -> _ClassIndex:
-    """The class index of ``classes`` over ``acceptable``, derived from the
-    classes alone: each acceptable candidate a class holds goes at the last
-    class holding it, so the index up to a class is exactly the acceptable
-    candidates no later class holds, also where classes are partial, reach
-    outside ``acceptable`` or overlap."""
-    if not classes:
-        return (), (), acceptable
-    last = {c: i for i, cls in enumerate(classes) for c in cls}
-    held: list[list[Agent]] = [[] for _ in classes]
-    for c, i in last.items():
-        if c in acceptable:
-            held[i].append(c)
-    order = tuple(itertools.chain.from_iterable(held))
-    unclassed = acceptable.difference(last) if len(order) < len(acceptable) else _NOBODY
-    return order, tuple(itertools.accumulate(map(len, held))), unclassed
 
 
 def relation(owner: Agent, acceptable: Iterable[Agent], edges: Iterable[Pair] = ()) -> Relation:
@@ -404,19 +368,18 @@ def _class_edges(classes: tuple[frozenset[Agent], ...]) -> frozenset[Pair]:
 def tie_relation(owner: Agent, classes: Iterable[Iterable[Agent]]) -> Relation:
     """The relation of an agent who ranks the given disjoint indifference
     classes best first: every candidate is acceptable, each class is tied,
-    and every candidate beats everyone in later classes.  Stores the
-    non-empty classes and their levels; builds no edge set.  The class
-    index of disjoint classes is the classes laid end to end, which the
-    level map's keys already are, so it costs no hashing; overlapping
-    ones have it derived.  A single class is itself the acceptable set."""
+    and every candidate beats everyone in later classes.  The only builder
+    of classes: stores the non-empty ones, their levels and the class
+    index, the level map's keys; builds no edge set.  Raises
+    ``ValueError`` on a candidate in two classes."""
     kept = tuple(filter(None, map(frozenset, classes)))
     level = {c: i for i, cls in enumerate(kept) for c in cls}
     ends = tuple(itertools.accumulate(map(len, kept)))
-    index = None
-    if not ends or ends[-1] == len(level):
-        index = tuple(level), ends, _NOBODY
-    acceptable = kept[0] if len(kept) == 1 else frozenset(level)
-    return Relation(owner, acceptable, classes=kept, level=level, index=index)
+    if ends and ends[-1] != len(level):
+        raise ValueError(f"{owner} ranks a candidate in two classes")
+    rel = Relation(owner, kept[0] if len(kept) == 1 else frozenset(level))
+    rel.classes, rel.level, rel._index = kept, level, (tuple(level), ends)
+    return rel
 
 
 # an agent that met fewer than a third of the candidates it ranks has
@@ -477,14 +440,12 @@ class StrictProfile:
         """True when every agent ranks exactly its acceptable set and every
         instance comparison is between ranked candidates and respected.
 
-        The classes are checked in one walk down the agent's true order:
-        the class levels met along it never decrease, and it meets every
-        classed candidate.  When the agent has as many classed candidates
-        as it ranks, the walk reads a level for every one of them.  When it
-        also has as many levels as indexed candidates as acceptable ones,
-        its classes hold exactly the acceptable set, so the walk has shown
-        that the ranking lies inside that set; a ranking as long as the set
-        with no repeat then covers it, and the pass over the set is skipped.
+        The classes are checked in one walk down the agent's true order,
+        which reads a level for every ranked candidate and finds them never
+        decreasing.  The levels cover the acceptable set exactly, so a
+        ranking as long as the set, with no repeat, that the walk reads
+        through ranks all of it; a relation without classes checks the set
+        instead.
 
         The last instance accepted is remembered by identity (the
         ``_refined`` slot) and accepted again in O(1), so a solve that checks
@@ -497,26 +458,17 @@ class StrictProfile:
             seq = self.ranking.get(a, ())
             ranks = self._rank.get(a, _NO_VIEW)
             acceptable, level = rel.acceptable, rel.level
-            # a ranking as long as the acceptable set, with no repeat, that
-            # ranks all of it ranks nothing else; a class may still hold a
-            # candidate outside the acceptable set
             if not len(seq) == len(ranks) == len(acceptable):
                 return False
-            if not (len(level) == len(rel._index[0]) == len(acceptable)
-                    or acceptable.issubset(ranks)):
-                return False
             if level:
-                if len(level) == len(seq):
-                    try:
-                        along = list(map(level.__getitem__, seq))
-                    except KeyError:  # a ranked candidate is unclassed
-                        return False
-                else:
-                    along = [at for at in map(level.get, seq) if at is not None]
-                    if len(along) != len(level):
-                        return False
+                try:
+                    along = list(map(level.__getitem__, seq))
+                except KeyError:  # a ranked candidate is not acceptable
+                    return False
                 if along != sorted(along):
                     return False
+            elif not acceptable.issubset(ranks):
+                return False
             try:
                 for c1, c2 in rel.extra:
                     if ranks[c1] > ranks[c2]:
@@ -620,12 +572,10 @@ class ValidationReport:
 
 
 def _sound_by_construction(rel: Relation) -> bool:
-    """True for a relation made of disjoint classes of acceptable candidates
-    and nothing else: its comparisons are the level order, which is
-    irreflexive, asymmetric and transitive, so its edges need no check."""
-    return (not rel.extra and not rel.met
-            and sum(map(len, rel.classes)) == len(rel.level)
-            and rel.level.keys() <= rel.acceptable)
+    """True for a relation made of classes alone: its comparisons are the
+    level order, which is irreflexive, asymmetric and transitive, so its
+    edges need no check."""
+    return not rel.extra and not rel.met
 
 
 def _transitivity_violations(a: Agent, acceptable: frozenset[Agent],
@@ -657,11 +607,10 @@ def validate_instance(instance: Instance) -> ValidationReport:
     Checks index ranges, mutual acceptability, irreflexivity, asymmetry,
     edge endpoints lying inside the acceptability set, and (for base
     instances) transitivity of each relation.  A relation sound by
-    construction (disjoint classes of acceptable candidates, nothing else)
-    skips the edge checks, so it costs O(d).  Any other relation costs
-    O(edges log edges) for the sort plus a successor-set check of
-    transitivity that is O(edges × d) in set operations, not O(d³) in
-    Python steps.
+    construction (classes and nothing else) skips the edge checks, so it
+    costs O(d).  Any other relation costs O(edges log edges) for the sort
+    plus a successor-set check of transitivity that is O(edges × d) in set
+    operations, not O(d³) in Python steps.
     """
     out: list[Violation] = []
     men_set = set(instance.men())

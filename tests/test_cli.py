@@ -401,6 +401,22 @@ class TestBench:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "oracle", "bench"])
+def test_negative_cap_is_usage_error(capsys, fig1_files, tmp_path, command):
+    # every --cap counts agents or pairs, so a negative one is refused before
+    # any work, and bench leaves an existing --out file as it was
+    _, paths = fig1_files
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"kept\r\n")
+    argv = {"check": ("check", paths["instance"], "--refined", paths["instance"]),
+            "solve": ("solve", paths["instance"], paths["truth"], "--min-icr"),
+            "oracle": ("oracle", paths["instance"], paths["truth"], "--min-icr"),
+            "bench": ("bench", "--family", "random-smti", "--n", "3", "--out", str(out))}
+    code, stdout, err = run(capsys, *argv[command], "--cap", "-3")
+    assert (code, stdout, err) == (2, "", "error: --cap takes a count of 0 or more, not -3\n")
+    assert out.read_bytes() == b"kept\r\n"
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path, monkeypatch):
     built, build_parser = [], cli.build_parser
 

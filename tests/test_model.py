@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from interviewplan import fixtures
 from interviewplan.errors import InterviewPlanError, ShapeMismatch, UnacceptableCandidate
-from interviewplan.formats import format_instance, parse_instance
+from interviewplan.formats import format_classes, format_instance, parse_instance
 from interviewplan.generators import (
     FAMILIES,
     cover_market_smt,
@@ -38,7 +38,8 @@ from interviewplan.model import (
     woman,
 )
 from interviewplan.oracles import linear_extensions
-from interviewplan.solvers import detect_structure
+from interviewplan.solvers import detect_structure, plan_for_matching
+from interviewplan.stability import gale_shapley
 
 
 CANDIDATES = [woman(j) for j in range(1, 7)]
@@ -101,13 +102,20 @@ class TestValidation:
         assert any(v.kind == "reflexive_edge" for v in report.violations)
 
 
-def classed(owner, acceptable, classes, extra=()):
-    """A relation over ``acceptable`` holding the given classes as stored,
-    repeated candidates and candidates outside ``acceptable`` included, plus
-    ``extra`` edges."""
-    kept = tuple(frozenset(cls) for cls in classes if cls)
-    level = {c: i for i, cls in enumerate(kept) for c in cls}
-    return Relation(owner, frozenset(acceptable), frozenset(extra), classes=kept, level=level)
+def classed(owner, classes, extra=()):
+    """A relation over the candidates of the given disjoint classes, holding
+    them as ``tie_relation`` builds them, plus ``extra`` edges."""
+    ties = tie_relation(owner, classes)
+    return Relation(owner, ties.acceptable, frozenset(extra), ties=ties)
+
+
+def cut_classes(draw, candidates):
+    """A random order of ``candidates`` cut into classes at random places,
+    repeated cuts giving empty classes."""
+    order = draw(st.permutations(sorted(candidates)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(order)), max_size=4)))
+    bounds = [0] + cuts + [len(order)]
+    return [order[i:j] for i, j in zip(bounds, bounds[1:])]
 
 
 class ReadCountingDict(dict):
@@ -134,8 +142,8 @@ def one_man_market(rel, base=True):
 
 class TestValidationShortcut:
     """:func:`validate_instance` skips the edge checks for relations made of
-    disjoint classes of acceptable candidates only; its report must equal
-    the full pairwise check's on every instance."""
+    classes alone; its report must equal the full pairwise check's on every
+    instance."""
 
     def test_generated_families(self):
         for family in FAMILIES:
@@ -160,22 +168,19 @@ class TestValidationShortcut:
 
     @pytest.mark.parametrize("rel", [
         # reflexive: a class pair plus a reflexive extra edge
-        classed(man(1), CANDIDATES[:3], [CANDIDATES[:1], CANDIDATES[1:3]],
-                [(woman(2), woman(2))]),
+        classed(man(1), [CANDIDATES[:1], CANDIDATES[1:3]], [(woman(2), woman(2))]),
         # symmetric: extra reverses a class pair
-        classed(man(1), CANDIDATES[:3], [CANDIDATES[:1], CANDIDATES[1:3]],
-                [(woman(3), woman(1))]),
-        # a classed candidate outside the acceptable set
-        classed(man(1), CANDIDATES[:2], [CANDIDATES[:1], CANDIDATES[1:3]]),
+        classed(man(1), [CANDIDATES[:1], CANDIDATES[1:3]], [(woman(3), woman(1))]),
+        # symmetric: a met order reverses a class pair
+        tie_relation(man(1), [CANDIDATES[:1], CANDIDATES[1:3]]).learn((woman(3), woman(1))),
         # an extra edge leaving the acceptable set
-        classed(man(1), CANDIDATES[:3], [CANDIDATES[:3]], [(woman(1), woman(5))]),
+        classed(man(1), [CANDIDATES[:3]], [(woman(1), woman(5))]),
         # non-transitive, edge-built
         relation(man(1), CANDIDATES[:3], [(woman(1), woman(2)), (woman(2), woman(3))]),
-        # non-transitive, classes mixed with extra
-        classed(man(1), CANDIDATES[:3], [CANDIDATES[:1], CANDIDATES[1:2]],
-                [(woman(2), woman(3))]),
-        # one candidate in two classes
-        classed(man(1), CANDIDATES[:3], [CANDIDATES[:2], CANDIDATES[1:3]]),
+        # non-transitive, a class mixed with extra
+        classed(man(1), [CANDIDATES[:3]], [(woman(1), woman(2)), (woman(2), woman(3))]),
+        # non-transitive, two rounds of met orders
+        tie_relation(man(1), [CANDIDATES[:3]]).learn(CANDIDATES[:2]).learn(CANDIDATES[1:3]),
     ])
     def test_invalid_relations(self, rel):
         inst = one_man_market(rel)
@@ -186,19 +191,22 @@ class TestValidationShortcut:
         assert validate_instance(refined) == full_validate(refined)
 
     def test_classes_with_consistent_extra(self):
-        rel = classed(man(1), CANDIDATES[:3], [CANDIDATES[:1], CANDIDATES[1:3]],
-                      [(woman(1), woman(2))])
+        rel = classed(man(1), [CANDIDATES[:1], CANDIDATES[1:3]], [(woman(1), woman(2))])
         inst = one_man_market(rel)
         assert validate_instance(inst).ok and full_validate(inst).ok
 
     @settings(max_examples=300)
-    @given(st.lists(st.lists(st.sampled_from(CANDIDATES[:5]), max_size=3), max_size=4),
+    @given(st.data(),
            st.sets(st.sampled_from(CANDIDATES[:5]), max_size=5),
            st.sets(st.tuples(st.sampled_from(CANDIDATES[:5]), st.sampled_from(CANDIDATES[:5])),
                    max_size=3),
-           st.booleans())
-    def test_equals_full_check(self, classes, acceptable, extra, base):
-        inst = one_man_market(classed(man(1), acceptable, classes, extra), base)
+           st.booleans(), st.booleans())
+    def test_equals_full_check(self, data, acceptable, extra, with_classes, base):
+        # classes cut from the acceptable set, or none, plus extra edges that
+        # may be reflexive, reverse a class pair or leave the acceptable set
+        rel = (classed(man(1), cut_classes(data.draw, acceptable), extra) if with_classes
+               else relation(man(1), acceptable, extra))
+        inst = one_man_market(rel, base)
         assert validate_instance(inst) == full_validate(inst)
 
     @settings(max_examples=400)
@@ -393,19 +401,17 @@ class TestStrictProfile:
     @settings(max_examples=400)
     @given(st.data())
     def test_refines_equals_per_class_reference(self, data):
-        # disjoint classes drawn from all six candidates, so a class may hold
-        # one outside the acceptable set, plus extra edges; the truth ranks
-        # the acceptable set in a random order, then may swap one place for a
-        # repeat of another acceptable candidate or for an outsider, so that
-        # as many classed candidates as ranked ones can still reject
+        # classes cut from the acceptable set, or none, plus extra edges that
+        # may leave it; the truth ranks the acceptable set in a random order,
+        # then may swap one place for a repeat of another acceptable
+        # candidate or for an outsider, so that a ranking as long as the set
+        # can still reject
         acceptable = data.draw(st.sets(st.sampled_from(CANDIDATES[:4]), min_size=1))
-        order = data.draw(st.permutations(CANDIDATES))[:data.draw(st.integers(0, 6))]
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(order)), max_size=4)))
-        bounds = [0] + cuts + [len(order)]
-        classes = [order[i:j] for i, j in zip(bounds, bounds[1:])]
         extra = data.draw(st.sets(st.tuples(st.sampled_from(CANDIDATES[:4]),
                                             st.sampled_from(CANDIDATES[:4])), max_size=2))
-        inst = one_man_market(classed(man(1), acceptable, classes, extra))
+        rel = (classed(man(1), cut_classes(data.draw, acceptable), extra)
+               if data.draw(st.booleans()) else relation(man(1), acceptable, extra))
+        inst = one_man_market(rel)
         ranking = {w: (man(1),) for w in CANDIDATES[:3]}
         seq = data.draw(st.permutations(sorted(acceptable)))
         at = data.draw(st.integers(0, len(seq) - 1))
@@ -425,29 +431,23 @@ MUTATIONS = ("none", "repeat", "missing", "extra", "outsider", "inversion", "met
 
 @st.composite
 def refines_cases(draw):
-    """Man 1's relation over some of four women, as exact disjoint classes
-    of the acceptable set or as partial, outside or overlapping ones, maybe
+    """Man 1's relation over some of four women: classes cut from the
+    acceptable set, those of a wider set restricted to it, or none; maybe
     learned, and a truth that sorts its candidates by class; then maybe one
     mutation: a repeated, missing, extra or outside candidate in the truth,
     two of its places swapped, or a met order or ``extra`` edge against
     it."""
     acceptable = sorted(draw(st.sets(st.sampled_from(CANDIDATES[:4]), min_size=1)))
-    shape = draw(st.sampled_from(("exact", "partial", "outside", "overlap")))
-    if shape == "overlap":
-        classes = [[c for c in acceptable if draw(st.booleans())]
-                   for _ in range(draw(st.integers(0, 4)))]
+    shape = draw(st.sampled_from(("exact", "restricted", "edges")))
+    if shape == "edges":
+        rel = relation(man(1), acceptable)
+    elif shape == "exact":
+        rel = tie_relation(man(1), cut_classes(draw, acceptable))
     else:
-        pool = acceptable if shape == "exact" else [
-            c for c in (CANDIDATES if shape == "outside" else acceptable) if draw(st.booleans())]
-        pool = draw(st.permutations(pool))
-        cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=4)))
-        bounds = [0] + cuts + [len(pool)]
-        classes = [pool[i:j] for i, j in zip(bounds, bounds[1:])]
-    rel = (tie_relation(man(1), classes) if shape == "exact"
-           else classed(man(1), acceptable, classes))
-    # the truth sorts by level, an unclassed candidate anywhere among them
-    keys = {c: (rel.level.get(c, draw(st.integers(-1, len(classes)))),
-                draw(st.integers(0, 9))) for c in acceptable}
+        wider = acceptable + [c for c in CANDIDATES if c not in acceptable and draw(st.booleans())]
+        rel = tie_relation(man(1), cut_classes(draw, wider)).restricted(frozenset(acceptable))
+    # the truth sorts by level, in any order where there are no classes
+    keys = {c: (rel.level.get(c, 0), draw(st.integers(0, 9))) for c in acceptable}
     seq = sorted(acceptable, key=keys.__getitem__)
     if draw(st.booleans()):
         rel = rel.learn([c for c in seq if draw(st.booleans())])
@@ -461,9 +461,8 @@ def refines_cases(draw):
     elif mutation == "extra":
         seq.insert(at, draw(st.sampled_from(outside)))
     elif mutation == "outsider":
-        # ranked, but outside the acceptable set and outside every class
-        free = [c for c in outside if c not in rel.level] or outside
-        seq[at] = draw(st.sampled_from(free))
+        # ranked, but outside the acceptable set
+        seq[at] = draw(st.sampled_from(outside))
     elif mutation == "inversion" and len(seq) > 1:
         j = draw(st.integers(0, len(seq) - 1))
         seq[at], seq[j] = seq[j], seq[at]
@@ -474,7 +473,7 @@ def refines_cases(draw):
             rel = rel.learn([worse, better])
         else:
             rel = Relation(man(1), rel.acceptable, rel.extra | {(worse, better)},
-                           classes=rel.classes, level=rel.level, met=rel.met)
+                           ties=rel, met=rel.met)
     inst = one_man_market(rel, base=False)
     truth = StrictProfile({man(1): tuple(seq), **{w: (man(1),) for w in CANDIDATES[:3]}})
     return inst, truth, shape, mutation
@@ -482,7 +481,7 @@ def refines_cases(draw):
 
 class TestRefinesAgainstTwoPass:
     """:meth:`StrictProfile.refines` skips its pass over the acceptable set
-    when the class index shows the level walk covers it; it must still
+    for a relation with classes, whose level walk covers it; it must still
     answer as the check that always made that pass."""
 
     @settings(max_examples=600)
@@ -509,8 +508,7 @@ class TestRefinesAgainstTwoPass:
                     (w2, w1, w3)):             # a class inversion
             assert verdicts(seq) == (False, False), seq
         assert verdicts((w1, w3, w2), rel.learn((w2, w3))) == (False, False)
-        against = Relation(man(1), rel.acceptable, frozenset({(w2, w3)}),
-                           classes=rel.classes, level=rel.level)
+        against = Relation(man(1), rel.acceptable, frozenset({(w2, w3)}), ties=rel)
         assert verdicts((w1, w3, w2), against) == (False, False)
 
 
@@ -829,3 +827,123 @@ class TestClassForm:
         for base, state in ((inst, refined), (inst, refined_twin), (twin, refined)):
             assert interview_compatibility(base, state) == witness
             assert interview_cost(base, state) == interview_cost(twin, refined_twin)
+
+
+def assert_partition(rel):
+    """The class invariant: the classes are empty, or non-empty, disjoint
+    and with the acceptable set as their union; ``level`` maps each
+    candidate to its class's position; ``_index`` is the classes laid end
+    to end, with their running ends."""
+    classes = rel.classes
+    union = frozenset().union(*classes)
+    assert all(classes)
+    assert sum(map(len, classes)) == len(union)
+    assert not classes or union == rel.acceptable
+    assert rel.level == {c: i for i, cls in enumerate(classes) for c in cls}
+    order, ends = rel._index
+    assert ends == tuple(itertools.accumulate(map(len, classes)))
+    assert len(order) == (ends[-1] if ends else 0)
+    assert [frozenset(order[i:j]) for i, j in zip((0, *ends), ends)] == list(classes)
+
+
+def one_sided_market(inst):
+    """``inst`` written as smti text in which every woman drops the men of
+    even index from her list, parsed back, and a truth that ranks each
+    parsed list in class order.  The parse drops those men's acceptance of
+    her, so it restricts their relations."""
+    lines = [f"kind: smti\nmen: {inst.n_men}\nwomen: {inst.n_women}"]
+    for a in inst.agents():
+        classes = inst.relations[a].classes
+        if a.side == "w":
+            classes = [cls - {m for m in cls if m.index % 2 == 0} for cls in classes]
+        lines.append(f"{a}: {format_classes([cls for cls in classes if cls])}")
+    notes = []
+    parsed = parse_instance("\n".join(lines) + "\n", warnings=notes)
+    truth = StrictProfile({a: tuple(c for cls in rel.classes for c in sorted(cls))
+                           for a, rel in parsed.relations.items()})
+    return parsed, truth, notes
+
+
+class TestClassInvariant:
+    """A relation's classes are empty or a partition of its acceptable set,
+    wherever the relation comes from; no other shape can be built."""
+
+    def test_every_source_keeps_it(self, small_graphs):
+        markets = []
+        for family in FAMILIES:
+            for n in range(1, 31):
+                for seed, tie_cap, density in ((0, 1, 1.0), (1, 3, 0.5), (2, n, 0.8)):
+                    tiers = [n // 2, n - n // 2] if family == "tiered" and n > 1 else None
+                    inst, truth = generate(family, n=n, seed=seed, tiers=tiers,
+                                           tie_cap=tie_cap, density=density)
+                    markets.append((inst, truth, None))
+        for graph in small_graphs:
+            for build in (cover_market_smti, cover_market_smt):
+                markets.append(build(graph)[:3])
+        restricted = 0
+        for seed in range(5):
+            parsed, truth, notes = one_sided_market(
+                generate("random_smti", n=6, seed=seed, tie_cap=3)[0])
+            restricted += len(notes)
+            markets.append((parsed, truth, None))
+        assert restricted
+        for inst, truth, mu in markets:
+            plan = plan_for_matching(inst, truth, mu or gale_shapley(truth))
+            for state in (inst, plan.refined, truth.as_instance()):
+                for rel in state.relations.values():
+                    assert_partition(rel)
+
+    def test_classes_must_partition_the_acceptable_set(self):
+        w1, w2, w3 = CANDIDATES[:3]
+        ties = tie_relation(man(1), [[w1], [w3]])
+        # w3 classed outside the acceptable set and w2 in no class: the
+        # relation whose stored classes once disagreed with its edge twin
+        with pytest.raises(ValueError):
+            Relation(man(1), frozenset({w1, w2}), ties=ties)
+        with pytest.raises(ValueError):  # partial: w3 in no class
+            Relation(man(1), frozenset({w1, w2, w3}), ties=tie_relation(man(1), [[w1], [w2]]))
+        with pytest.raises(ValueError):  # outside: w3 classed, not acceptable
+            Relation(man(1), frozenset({w1}), ties=ties)
+        with pytest.raises(ValueError):  # overlapping: w2 in two classes
+            tie_relation(man(1), [[w1, w2], [w2, w3]])
+        with pytest.raises(ValueError):  # restricted beyond the acceptable set
+            ties.restricted(frozenset({w1, w2}))
+        # an equal set that is another object is accepted, sharing the classes
+        same = Relation(man(1), frozenset({w1, w3}), ties=ties)
+        assert same.classes is ties.classes and same == ties
+
+    @settings(max_examples=300)
+    @given(st.lists(st.lists(st.sampled_from(CANDIDATES[:5]), max_size=3), max_size=4),
+           st.sets(st.sampled_from(CANDIDATES[:5]), max_size=5))
+    def test_only_a_partition_builds(self, classes, acceptable):
+        # any classes over any acceptable set: overlapping ones are refused by
+        # tie_relation, partial or outside ones by the constructor
+        union = {c for cls in classes for c in cls}
+        if sum(len(set(cls)) for cls in classes) > len(union):
+            with pytest.raises(ValueError):
+                tie_relation(man(1), classes)
+            return
+        ties = tie_relation(man(1), classes)
+        assert_partition(ties)
+        if union and union != acceptable:
+            with pytest.raises(ValueError):
+                Relation(man(1), frozenset(acceptable), ties=ties)
+        elif union:
+            assert_partition(Relation(man(1), frozenset(acceptable), ties=ties))
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_tie_structure_equals_edge_twin(self, data):
+        # a relation from tie_relation, restricted, owned_by and one or two
+        # learns answers as its edge-built twin
+        acceptable = data.draw(st.sets(st.sampled_from(CANDIDATES)))
+        rel = tie_relation(man(1), cut_classes(data.draw, acceptable))
+        keep = frozenset(c for c in acceptable if data.draw(st.booleans()))
+        rels = [rel, rel.restricted(keep), rel.owned_by(man(2))]
+        for _ in range(2):
+            met = [c for c in sorted(acceptable) if data.draw(st.booleans())]
+            rels.append(rels[-1].learn(data.draw(st.permutations(met))))
+        for r in rels:
+            assert_partition(r)
+            twin = Relation(r.owner, r.acceptable, r.edges)
+            assert agent_tie_structure(r) == agent_tie_structure(twin), r

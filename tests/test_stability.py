@@ -165,12 +165,12 @@ class TestOneScan:
 @st.composite
 def odd_markets(draw):
     """Up to 4 agents per side whose relations mix every part a relation
-    can hold, beyond what the constructors build: classes drawn over a pool
-    that may cover only part of the acceptable set and reach outside it,
-    random extra edges (consistent or not), a met order over some
-    acceptable candidates, one-sided acceptability, and acceptable
-    candidates outside the declared agents.  Plus a partial matching, which
-    leaves some agents unmatched."""
+    can hold: classes cut from a random order of the acceptable set, or
+    none, random extra edges (consistent or not, some leaving the
+    acceptable set), a met order over some acceptable candidates,
+    one-sided acceptability, and acceptable candidates outside the
+    declared agents.  Plus a partial matching, which leaves some agents
+    unmatched."""
     n_men, n_women = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     men = [man(i) for i in range(1, n_men + 1)]
     women = [woman(j) for j in range(1, n_women + 1)]
@@ -178,15 +178,16 @@ def odd_markets(draw):
     for a, others in [(m, women + [woman(n_women + 1)]) for m in men] + \
                      [(w, men + [man(n_men + 1)]) for w in women]:
         acceptable = [c for c in others if draw(st.booleans())]
-        pool = draw(st.permutations([c for c in others if draw(st.booleans())]))
-        cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=len(pool))))
-        bounds = [0] + cuts + [len(pool)]
-        ties = tie_relation(a, (pool[i:j] for i, j in zip(bounds, bounds[1:])))
+        ties = None
+        if draw(st.booleans()):
+            pool = draw(st.permutations(acceptable))
+            cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=len(pool))))
+            bounds = [0] + cuts + [len(pool)]
+            ties = tie_relation(a, (pool[i:j] for i, j in zip(bounds, bounds[1:])))
         extra = frozenset(p for p in itertools.permutations(others, 2)
                           if draw(st.integers(0, 5)) == 0)
         met = draw(st.permutations([c for c in acceptable if draw(st.booleans())]))
-        rels[a] = Relation(a, frozenset(acceptable), extra, classes=ties.classes,
-                           level=ties.level, met=tuple(met))
+        rels[a] = Relation(a, frozenset(acceptable), extra, ties=ties, met=tuple(met))
     instance = Instance(n_men, n_women, rels, base=False)
     return instance, draw_partial_matching(draw, instance)
 
@@ -220,7 +221,7 @@ class TestOpenCandidateScan:
 
     @settings(max_examples=500)
     @given(odd_markets())
-    def test_equals_pair_list_on_partial_and_outside_classes(self, market):
+    def test_equals_pair_list_on_odd_markets(self, market):
         assert_scan_equals_pair_list(*market)
 
     def test_equals_pair_list_on_dense_generated_markets(self):
@@ -276,35 +277,22 @@ class TestRowScan:
 @st.composite
 def any_relation(draw, owner, others):
     """A relation over some of ``others`` in a shape the class index must
-    read as the classes do: built by ``tie_relation`` from disjoint or
-    overlapping classes, or held by the constructor with classes that are
-    partial, reach outside the acceptable set or overlap, or with none at
-    all, plus ``extra`` edges; then maybe restricted, and learned over zero,
-    one or two rounds."""
+    read as the classes do: built by ``tie_relation`` from a random order
+    of the acceptable set cut into classes, alone or with ``extra`` edges,
+    or held by the constructor with ``extra`` edges and no classes; then
+    maybe restricted, and learned over zero, one or two rounds."""
     acceptable = [c for c in others if draw(st.booleans())]
-    shape = draw(st.sampled_from(("tie", "tie_overlap", "partial", "outside",
-                                  "overlap", "edges")))
-    if shape in ("tie", "partial", "outside"):
-        pool = {"tie": acceptable, "outside": others}.get(
-            shape, [c for c in acceptable if draw(st.booleans())])
-        pool = draw(st.permutations(pool))
+    shape = draw(st.sampled_from(("tie", "tie_extra", "edges")))
+    ties = None
+    if shape != "edges":
+        pool = draw(st.permutations(acceptable))
         cuts = sorted(draw(st.lists(st.integers(0, len(pool)), max_size=len(pool) + 1)))
         bounds = [0] + cuts + [len(pool)]
-        classes = [pool[i:j] for i, j in zip(bounds, bounds[1:])]
-    else:
-        pool = acceptable if shape == "tie_overlap" else others
-        classes = [[c for c in pool if draw(st.booleans())]
-                   for _ in range(draw(st.integers(0, 4)))]
-    if shape in ("tie", "tie_overlap"):
-        rel = tie_relation(owner, classes)
-    else:
-        if shape == "edges":
-            classes = []
-        kept = tuple(frozenset(cls) for cls in classes if cls)
-        level = {c: i for i, cls in enumerate(kept) for c in cls}
+        ties = rel = tie_relation(owner, (pool[i:j] for i, j in zip(bounds, bounds[1:])))
+    if shape != "tie":
         extra = frozenset(p for p in itertools.permutations(others, 2)
                           if draw(st.integers(0, 5)) == 0)
-        rel = Relation(owner, frozenset(acceptable), extra, classes=kept, level=level)
+        rel = Relation(owner, frozenset(acceptable), extra, ties=ties)
     if draw(st.booleans()):
         rel = rel.restricted(frozenset(c for c in rel.acceptable if draw(st.booleans())))
     for _ in range(draw(st.integers(0, 2))):
@@ -340,17 +328,16 @@ class TestOpenTo:
                 assert set(rel.open_to(p)) == reference_open(rel, p), (a, p)
         assert_rows_equal_pair_list(instance, mu)
 
-    def test_a_candidate_in_two_classes_counts_at_the_later(self):
-        # w1 is in the first and the last class, so no partner before the
-        # last class leaves it open, though a prefix of the classes holds it
+    def test_a_candidate_in_two_classes_is_refused(self):
+        # w1 in the first and the last class would have no one level, so
+        # no open set could be read off one class order
         w1, w2, w3, w4 = (woman(j) for j in range(1, 5))
-        for rel in (tie_relation(man(1), [[w1], [w2], [w3], [w4, w1]]),
-                    Relation(man(1), frozenset({w1, w2, w3, w4}),
-                             classes=tuple(map(frozenset, ([w1], [w2], [w3], [w4, w1]))),
-                             level={w1: 3, w2: 1, w3: 2, w4: 3})):
-            assert rel.open_to(w2) == set()
-            for p in (None, w1, w2, w3, w4):
-                assert set(rel.open_to(p)) == reference_open(rel, p), p
+        with pytest.raises(ValueError):
+            tie_relation(man(1), [[w1], [w2], [w3], [w4, w1]])
+        rel = tie_relation(man(1), [[w1], [w2], [w3], [w4]])
+        assert rel.open_to(w2) == {w1}
+        for p in (None, w1, w2, w3, w4):
+            assert set(rel.open_to(p)) == reference_open(rel, p), p
 
 
 class TestIsStable:
